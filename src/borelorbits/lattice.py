@@ -99,7 +99,10 @@ class IntegerMatrix:
     def from_json(cls, obj: dict) -> "IntegerMatrix":
         if not isinstance(obj, dict) or "entries" not in obj:
             raise ValueError("matrix JSON must be an object with an 'entries' field")
-        m = cls.from_rows(obj["entries"])
+        entries = obj["entries"]
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise ValueError("matrix 'entries' must be a list of lists of integers")
+        m = cls.from_rows(entries)
         for field in ("rows", "cols"):
             if field in obj and obj[field] != getattr(m, field):
                 raise ValueError(

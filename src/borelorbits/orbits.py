@@ -205,6 +205,35 @@ class BraidReport:
         }
 
 
+def _braid_witness(
+    mi: Mapping[str, str], mj: Mapping[str, str], m: int, domain: set[str] | None
+) -> str | None:
+    """Least point on a cycle of s_i s_j whose length does not divide ``m``.
+
+    ``mi`` and ``mj`` hold only the points each involution moves; ``domain``,
+    when given, is invariant under both.  Returns None when (s_i s_j)^m = id.
+    """
+    support = mi.keys() | mj.keys()
+    if domain is not None:
+        support &= domain
+    witness = None
+    while support:
+        start = support.pop()
+        cycle = [start]
+        z = mj.get(start, start)
+        point = mi.get(z, z)
+        while point != start:
+            cycle.append(point)
+            support.discard(point)
+            z = mj.get(point, point)
+            point = mi.get(z, z)
+        if m % len(cycle):
+            least = min(cycle)
+            if witness is None or least < witness:
+                witness = least
+    return witness
+
+
 @dataclass(frozen=True)
 class TypeCensus:
     """Tally of span types per root, with the T2-on-maximal-rank flag."""
@@ -220,6 +249,26 @@ class TypeCensus:
             },
             "t2_on_max_rank": self.t2_on_max_rank,
         }
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_flag(entry: dict, key: str) -> bool:
+    value = entry.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"orbit {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _json_names(entry: dict, key: str) -> tuple[str, ...]:
+    names = entry.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ValueError(f"span {key!r} must be a list of orbit names, got {names!r}")
+    return tuple(names)
 
 
 class ReflectionTable:
@@ -409,8 +458,15 @@ class ReflectionTable:
 
         With ``restrict_to`` the check runs on that orbit subset, which must
         be invariant under every generator.  ``generators`` defaults to all
-        simple roots.  On failure the witness is the lexicographically least
-        orbit moved by the composite power.
+        simple roots.
+
+        The composite p = s_i s_j (apply s_j, then s_i) is split into cycles;
+        p^m moves exactly the points on cycles whose length does not divide
+        m, so the relation holds iff every cycle length divides m_ij.  Only
+        points moved by s_i or s_j can be moved by p, so each pair costs work
+        proportional to |supp s_i| + |supp s_j|, not to the orbit count.  On
+        failure the witness is the lexicographically least orbit on such a
+        cycle, i.e. the least orbit moved by (s_i s_j)^{m_ij}.
         """
         gens = sorted(set(generators)) if generators is not None else sorted(self._moves)
         for g in gens:
@@ -422,46 +478,41 @@ class ReflectionTable:
             for y in range(x + 1, len(gens)):
                 i, j = gens[x], gens[y]
                 m = self.cartan.coxeter_exponent(i, j)
-                mi, mj = self._moves[i], self._moves[j]
-                step = {
-                    name: mi.get(mj.get(name, name), mj.get(name, name))
-                    for name in domain
-                }
-                word = {name: name for name in domain}
-                for _ in range(m):
-                    word = {name: step[word[name]] for name in domain}
-                moved = sorted(name for name in domain if word[name] != name)
+                witness = _braid_witness(self._moves[i], self._moves[j], m, domain)
                 results.append(
-                    BraidPair(
-                        i=i,
-                        j=j,
-                        exponent=m,
-                        holds=not moved,
-                        witness=moved[0] if moved else None,
-                    )
+                    BraidPair(i=i, j=j, exponent=m, holds=witness is None, witness=witness)
                 )
         return BraidReport(pairs=tuple(results))
 
     def _resolve_domain(
         self, restrict_to: Iterable[str] | None, gens: Sequence[int]
-    ) -> tuple[str, ...]:
+    ) -> set[str] | None:
+        """The validated restriction as a set, or None for the whole orbit set.
+
+        A generator can only carry a name out of the subset if it moves that
+        name, so invariance is checked on each generator's moved points.
+        """
         if restrict_to is None:
-            return self.orbit_names
-        domain = sorted(set(restrict_to))
-        for name in domain:
-            if name not in self._by_name:
-                raise ValueError(f"unknown orbit {name!r} in restriction")
-        domain_set = set(domain)
+            return None
+        domain = set(restrict_to)
+        unknown = [name for name in domain if name not in self._by_name]
+        if unknown:
+            raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
         for g in gens:
             moves = self._moves[g]
-            for name in domain:
-                image = moves.get(name, name)
-                if image not in domain_set:
-                    raise ValueError(
-                        f"restriction is not invariant: s_{g} moves {name!r} to "
-                        f"{image!r} outside the subset"
-                    )
-        return tuple(domain)
+            # Scan whichever is smaller: the moved points or the subset.
+            escaped = [
+                name
+                for name in min(moves, domain, key=len)
+                if name in domain and moves.get(name, name) not in domain
+            ]
+            if escaped:
+                name = min(escaped)
+                raise ValueError(
+                    f"restriction is not invariant: s_{g} moves {name!r} to "
+                    f"{moves[name]!r} outside the subset"
+                )
+        return domain
 
     # -- orbit enumeration ---------------------------------------------------
 
@@ -478,13 +529,13 @@ class ReflectionTable:
         for g in gens:
             if g not in self._moves:
                 raise ValueError(f"root index {g} out of range 1..{self.cartan.rank}")
-        domain_names = self._resolve_domain(domain, gens)
+        unvisited = self._resolve_domain(domain, gens)
+        if unvisited is None:
+            unvisited = set(self._by_name)
         move_maps = [self._moves[g] for g in gens]
-        seen: set[str] = set()
         classes = []
-        for start in domain_names:
-            if start in seen:
-                continue
+        while unvisited:
+            start = unvisited.pop()
             block = {start}
             queue = [start]
             while queue:
@@ -494,7 +545,7 @@ class ReflectionTable:
                     if image not in block:
                         block.add(image)
                         queue.append(image)
-            seen |= block
+            unvisited -= block
             classes.append(tuple(sorted(block)))
         return tuple(sorted(classes))
 
@@ -580,20 +631,26 @@ class ReflectionTable:
             span_objs = obj["spans"]
         except KeyError as exc:
             raise ValueError(f"reflection table JSON is missing {exc}") from exc
+        if not isinstance(orbit_objs, list) or not isinstance(span_objs, list):
+            raise ValueError("reflection table 'orbits' and 'spans' must be lists")
         orbits = []
         for entry in orbit_objs:
+            if not isinstance(entry, dict):
+                raise ValueError(f"orbit entry must be an object, got {entry!r}")
             if "id" not in entry:
                 raise ValueError(f"orbit entry without 'id': {entry!r}")
             orbits.append(
                 Orbit(
                     name=str(entry["id"]),
-                    is_open=bool(entry.get("open", False)),
-                    is_max_rank=bool(entry.get("max_rank", False)),
-                    dim=int(entry["dim"]) if "dim" in entry else None,
+                    is_open=_json_flag(entry, "open"),
+                    is_max_rank=_json_flag(entry, "max_rank"),
+                    dim=_json_int(entry["dim"], "orbit 'dim'") if "dim" in entry else None,
                 )
             )
         spans = []
         for entry in span_objs:
+            if not isinstance(entry, dict):
+                raise ValueError(f"span entry must be an object, got {entry!r}")
             if "type" not in entry or "root" not in entry:
                 raise ValueError(f"span entry needs 'root' and 'type': {entry!r}")
             try:
@@ -602,10 +659,10 @@ class ReflectionTable:
                 raise ValueError(f"unknown edge type {entry.get('type')!r}") from None
             spans.append(
                 Span(
-                    root=int(entry["root"]),
+                    root=_json_int(entry["root"], "span 'root'"),
                     type=edge,
-                    open_orbits=tuple(str(x) for x in entry.get("open", ())),
-                    lower_orbits=tuple(str(x) for x in entry.get("lower", ())),
+                    open_orbits=_json_names(entry, "open"),
+                    lower_orbits=_json_names(entry, "lower"),
                 )
             )
         return cls(orbits=orbits, cartan=CartanSpec.from_json(cartan_obj), spans=spans)

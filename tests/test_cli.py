@@ -49,6 +49,15 @@ def test_divisors_from_stdin(capsys, monkeypatch):
     assert json.loads(out) == {"divisors": [1, 6]}
 
 
+def test_snf_rejects_entries_that_are_not_rows(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"entries": 5})))
+    code, out, err = run_cli(capsys, "snf", "--matrix", "-")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ValueError"
+    assert "list of lists" in payload["error"]["message"]
+
+
 def test_count_open(capsys):
     code, out, _ = run_cli(capsys, "count-open", "--divisors", "2,2,1,1")
     assert code == 0 and out.strip() == "4"
@@ -249,6 +258,45 @@ def test_table_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "braid-check", "--table", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+def _table_json(orbits, span):
+    return {
+        "orbits": orbits,
+        "cartan": {"type": "A", "rank": 1},
+        "spans": [span],
+    }
+
+
+_N2_SPAN = {"root": 1, "type": "N2", "open": ["a", "b"], "lower": ["c"]}
+_ABC = [{"id": "a"}, {"id": "b"}, {"id": "c"}]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_table_json(["idx"], _N2_SPAN), "orbit entry must be an object"),
+        (
+            _table_json([{"id": "a", "open": "false", "max_rank": "false"}] + _ABC[1:], _N2_SPAN),
+            "orbit 'open' must be true or false",
+        ),
+        (_table_json(_ABC, dict(_N2_SPAN, root=[1])), "span 'root' must be an integer"),
+        (_table_json(_ABC, dict(_N2_SPAN, open="ab")), "span 'open' must be a list"),
+        (
+            _table_json(_ABC[:2], {"root": 1, "type": "U", "open": "a", "lower": "b"}),
+            "span 'open' must be a list",
+        ),
+    ],
+    ids=["orbit-string", "orbit-flag-string", "root-list", "open-string", "open-lower-strings"],
+)
+def test_table_json_shape_errors(tmp_path, capsys, table, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "braid-check", "--table", str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ValueError"
+    assert message in payload["error"]["message"]
 
 
 def test_outputs_conform_to_published_schemas(tmp_path, capsys):

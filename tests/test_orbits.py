@@ -1,6 +1,8 @@
 """Reflection tables: span rules, braid checks, orbit enumeration, serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelorbits import (
     CartanSpec,
@@ -315,3 +317,91 @@ def test_dot_marks_open_orbits():
     dot = table.to_dot()
     assert '"A" [shape=doublecircle];' in dot
     assert '"B" [shape=circle];' in dot
+
+
+# -- differential check of the braid verdicts against a brute-force oracle ----
+
+_RANDOM_EDGES = (EdgeType.P, EdgeType.U, EdgeType.T1, EdgeType.T2, EdgeType.N1, EdgeType.N2)
+_RANDOM_CARTANS = ("A1", "A2", "A3", "A4", "B2", "B3", "D3", "D4", "G2")
+
+
+@st.composite
+def random_tables(draw):
+    """Small tables with random span decompositions on A/B/D/G Cartan types."""
+    cartan = CartanSpec.from_label(draw(st.sampled_from(_RANDOM_CARTANS)))
+    names = draw(
+        st.lists(st.text("ab+-", min_size=1, max_size=3), min_size=1, max_size=12, unique=True)
+    )
+    open_names = set(draw(st.lists(st.sampled_from(names), unique=True)))
+    orbits = [Orbit(name, name in open_names, name in open_names) for name in names]
+    spans = []
+    for root in range(1, cartan.rank + 1):
+        rest = draw(st.permutations(names))
+        while rest:
+            edge = draw(st.sampled_from(_RANDOM_EDGES))
+            lowers = [name for name in rest if name not in open_names][: edge.lower_slots]
+            opens = [name for name in rest if name not in lowers][: edge.open_slots]
+            if len(lowers) < edge.lower_slots or len(opens) < edge.open_slots:
+                edge, opens, lowers = EdgeType.P, rest[:1], []
+            spans.append(Span(root, edge, tuple(opens), tuple(lowers)))
+            rest = [name for name in rest if name not in opens and name not in lowers]
+    return ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
+
+
+def braid_oracle(table, restrict_to=None, generators=None):
+    """(s_i s_j)^m applied m times over the whole domain, pair by pair."""
+    if generators is None:
+        generators = range(1, table.cartan.rank + 1)
+    gens = sorted(set(generators))
+    perms = {g: table.reflection_permutation(g) for g in gens}
+    if restrict_to is None:
+        domain = list(table.orbit_names)
+    else:
+        domain = sorted(set(restrict_to))
+        for g in gens:
+            for name in domain:
+                image = perms[g][name]
+                if image not in domain:
+                    raise ValueError(
+                        f"restriction is not invariant: s_{g} moves {name!r} to "
+                        f"{image!r} outside the subset"
+                    )
+    verdicts = []
+    for x, i in enumerate(gens):
+        for j in gens[x + 1 :]:
+            m = table.cartan.coxeter_exponent(i, j)
+            step = {name: perms[i][perms[j][name]] for name in domain}
+            word = {name: name for name in domain}
+            for _ in range(m):
+                word = {name: step[word[name]] for name in domain}
+            moved = sorted(name for name in domain if word[name] != name)
+            verdicts.append((i, j, m, not moved, moved[0] if moved else None))
+    return verdicts
+
+
+def _verdicts(report):
+    return [(p.i, p.j, p.exponent, p.holds, p.witness) for p in report.pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=random_tables(), data=st.data())
+def test_braid_check_matches_brute_force_oracle(table, data):
+    gens = data.draw(
+        st.none() | st.lists(st.integers(1, table.cartan.rank), unique=True), label="generators"
+    )
+    expected = braid_oracle(table, generators=gens)
+    assert _verdicts(table.check_braid(generators=gens)) == expected
+    # A union of orbits of the whole group is invariant under every generator.
+    blocks = table.subgroup_orbits(range(1, table.cartan.rank + 1), table.orbit_names)
+    subset = [name for block in data.draw(st.sets(st.sampled_from(blocks))) for name in block]
+    expected = braid_oracle(table, restrict_to=subset, generators=gens)
+    assert _verdicts(table.check_braid(restrict_to=subset, generators=gens)) == expected
+    opens = table.open_orbit_names
+    try:
+        expected = braid_oracle(table, restrict_to=opens, generators=gens)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            table.check_braid(restrict_to=opens, generators=gens)
+        assert str(raised.value) == str(exc)
+    else:
+        assert _verdicts(table.check_braid(restrict_to=opens, generators=gens)) == expected
