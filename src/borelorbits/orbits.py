@@ -48,16 +48,11 @@ class EdgeType(enum.Enum):
 
     @property
     def open_slots(self) -> int:
-        return _OPEN_SLOTS[self]
+        return _SLOTS[self][0]
 
     @property
     def lower_slots(self) -> int:
-        return _LOWER_SLOTS[self]
-
-    @property
-    def is_tn_family(self) -> bool:
-        """True for every T- and N-flavoured type (the non-P, non-U types)."""
-        return self not in (EdgeType.P, EdgeType.U)
+        return _SLOTS[self][1]
 
     @property
     def complex_type(self) -> "EdgeType":
@@ -68,33 +63,19 @@ class EdgeType(enum.Enum):
         return self
 
 
-_OPEN_SLOTS = {t: (2 if t in (EdgeType.T2, EdgeType.N2) else 1) for t in EdgeType}
-
-_LOWER_SLOTS = {
-    EdgeType.P: 0,
-    EdgeType.U: 1,
-    EdgeType.T0: 0,
-    EdgeType.T1: 2,
-    EdgeType.T2: 2,
-    EdgeType.N0: 0,
-    EdgeType.N1: 1,
-    EdgeType.N2: 1,
-    EdgeType.T: 2,
-    EdgeType.N: 1,
-}
-
-# Which slot pairs get swapped by the reflection: (swap opens, swap lowers).
-_SWAPS = {
-    EdgeType.P: (False, False),
-    EdgeType.U: (False, False),  # U swaps open with lower instead, handled apart
-    EdgeType.T0: (False, False),
-    EdgeType.T1: (False, True),
-    EdgeType.T2: (True, True),
-    EdgeType.N0: (False, False),
-    EdgeType.N1: (False, False),
-    EdgeType.N2: (True, False),
-    EdgeType.T: (False, True),
-    EdgeType.N: (False, False),
+# What each type does to its span: (open slots, lower slots, the slot pairs
+# the reflection swaps), slots numbered over the open then the lower members.
+_SLOTS = {
+    EdgeType.P: (1, 0, ()),
+    EdgeType.U: (1, 1, ((0, 1),)),
+    EdgeType.T0: (1, 0, ()),
+    EdgeType.T1: (1, 2, ((1, 2),)),
+    EdgeType.T2: (2, 2, ((0, 1), (2, 3))),
+    EdgeType.N0: (1, 0, ()),
+    EdgeType.N1: (1, 1, ()),
+    EdgeType.N2: (2, 1, ((0, 1),)),
+    EdgeType.T: (1, 2, ((1, 2),)),
+    EdgeType.N: (1, 1, ()),
 }
 
 
@@ -142,14 +123,9 @@ class Span(NamedTuple):
     def moves(self) -> list[tuple[str, str]]:
         """Unordered pairs swapped by the reflection on this span."""
         out = []
-        if self.type is EdgeType.U:
-            out.append((self.open_orbits[0], self.lower_orbits[0]))
-            return out
-        swap_open, swap_lower = _SWAPS[self.type]
-        if swap_open:
-            out.append((self.open_orbits[0], self.open_orbits[1]))
-        if swap_lower:
-            out.append((self.lower_orbits[0], self.lower_orbits[1]))
+        members = self.open_orbits + self.lower_orbits
+        for a, b in _SLOTS[self.type][2]:
+            out.append((members[a], members[b]))
         return out
 
     def to_json(self) -> dict:
@@ -315,7 +291,8 @@ class ReflectionTable:
                     raise ValueError(f"span members must be distinct, got {members}")
                 oo = span.open_orbits
                 lo = span.lower_orbits
-                if len(oo) != _OPEN_SLOTS[edge] or len(lo) != _LOWER_SLOTS[edge]:
+                opens, lowers, swaps = _SLOTS[edge]
+                if len(oo) != opens or len(lo) != lowers:
                     raise ValueError(
                         f"span of type {edge.value} at root {root} has wrong slot counts"
                     )
@@ -348,16 +325,9 @@ class ReflectionTable:
                             f"U-span at root {root} pairs dim {od} with dim {ld}; "
                             "lower orbit must be one dimension below the open one"
                         )
-                    moves[oo[0]] = lo[0]
-                    moves[lo[0]] = oo[0]
-                else:
-                    swap_open, swap_lower = _SWAPS[edge]
-                    if swap_open:
-                        moves[oo[0]] = oo[1]
-                        moves[oo[1]] = oo[0]
-                    if swap_lower:
-                        moves[lo[0]] = lo[1]
-                        moves[lo[1]] = lo[0]
+                for a, b in swaps:
+                    moves[members[a]] = members[b]
+                    moves[members[b]] = members[a]
             if len(cell) != orbit_count:
                 missing = set(by_name) - set(cell)
                 raise ValueError(
@@ -637,11 +607,12 @@ class ReflectionTable:
         for entry in orbit_objs:
             if not isinstance(entry, dict):
                 raise ValueError(f"orbit entry must be an object, got {entry!r}")
-            if "id" not in entry:
-                raise ValueError(f"orbit entry without 'id': {entry!r}")
+            name = entry.get("id")
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"orbit 'id' must be a nonempty string, got {name!r}")
             orbits.append(
                 Orbit(
-                    name=str(entry["id"]),
+                    name=name,
                     is_open=_json_flag(entry, "open"),
                     is_max_rank=_json_flag(entry, "max_rank"),
                     dim=_json_int(entry["dim"], "orbit 'dim'") if "dim" in entry else None,

@@ -7,26 +7,40 @@ endpoint of an arc pairing two positions into a cross term, and the rest are
 zero.  Complex orbits drop the signs (bare dots); arcs may cross or nest
 freely.
 
-The symmetric group acts by permuting positions.  For an adjacent
-transposition the span decomposition only depends on the two entries at
-positions i, i+1:
+The symmetric group acts by permuting positions.  For the transposition of
+positions i, i+1 the span holding a pattern depends only on the entries
+there and on their arc partners.  :func:`classify_cell` decides it, for the
+tables and for :meth:`SignedPattern.classify_edge` alike:
 
-    + +  or  - -                N0   (span is that single orbit)
-    + -  or  - +                N2   (the two sign orders are the open pair,
-                                      the arc joining i, i+1 is their lower)
-    arc between i and i+1       N2   (the lower orbit of the above span)
-    0 0                         P
-    anything else               U    (the orbit and its transposed partner)
+    entries at i, i+1        signed                   complex
+    0 0                      P                        P
+    + +  or  - -             N0 (the orbit alone)     -
+    + -  or  - +             N2: the two sign orders  -
+                             are the open pair over
+                             the arc joining i, i+1
+    bare dots (no arcs)      -                        N: open, over the arc
+                                                      joining i, i+1
+    arc joining i and i+1    N2, lower                N, lower
+    anything else            U: the orbit and its     U
+                             transposed partner
+
+The classifier answers in the signed column: a bare-dot pair is N2, and the
+complex table takes its type through :attr:`EdgeType.complex_type`.
 
 Which member of a U-pair is open is decided by the ranks of the upper-left
-corner submatrices of the corresponding form, the invariant separating
-orbits; the open orbit dominates its partner.
+corner submatrices of the form (:meth:`SignedPattern.corner_rank`), the
+invariant separating orbits: the open orbit's corner ranks are at least its
+partner's at every corner.  In closed form: with a zero below an active
+entry (zero at i+1) the pattern is open, with the zero at i it is the lower
+member.  Between two active entries, at least one on an arc, count a single
+entry as its own partner: the pattern is open when the partner of position i
+comes first.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .orbits import EdgeType, Orbit, ReflectionTable, Span
@@ -41,16 +55,44 @@ _ENTRY_ORDER = {ZERO: 0, PLUS: 1, MINUS: 2, DOT: 3}
 _SORT_TR = str.maketrans(ZERO + PLUS + MINUS + DOT, "0123")
 _SIGNS = (PLUS, MINUS)
 
-_ARC_SUFFIX_CACHE: dict[tuple[tuple[int, int], ...], str] = {}
-
 
 def _arc_suffix(arcs: tuple[tuple[int, int], ...]) -> str:
-    """Leading-space arc list, e.g. " [1,2][3,5]"; memoized, arcs repeat a lot."""
-    suffix = _ARC_SUFFIX_CACHE.get(arcs)
-    if suffix is None:
-        suffix = " " + "".join(f"[{j},{k}]" for j, k in arcs)
-        _ARC_SUFFIX_CACHE[arcs] = suffix
-    return suffix
+    """Leading-space arc list, e.g. " [1,2][3,5]"; empty without arcs."""
+    return " " + "".join(f"[{j},{k}]" for j, k in arcs) if arcs else ""
+
+
+def _transpose_arcs(arcs: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[int, int], ...]:
+    """Arcs carried through the swap of positions i and i+1, normalized."""
+    swap = {i: i + 1, i + 1: i}
+    return tuple(sorted(tuple(sorted((swap.get(j, j), swap.get(k, k)))) for j, k in arcs))
+
+
+_P_OPEN = (EdgeType.P, True)
+_N0_OPEN = (EdgeType.N0, True)
+_N2_OPEN = (EdgeType.N2, True)
+_N2_LOWER = (EdgeType.N2, False)
+_U_OPEN = (EdgeType.U, True)
+_U_LOWER = (EdgeType.U, False)
+
+
+def classify_cell(x: str, y: str, px: int, py: int, i: int) -> tuple[EdgeType, bool]:
+    """The span type at positions (i, i+1) and whether the pattern is open in it.
+
+    ``x`` and ``y`` are the entries at i and i+1, ``px`` and ``py`` their arc
+    partners (0 when not on an arc).  See the module docstring for the table;
+    a bare-dot pair answers N2, which complex tables project to N.
+    """
+    if x == ZERO:
+        return _P_OPEN if y == ZERO else _U_LOWER
+    if y == ZERO:
+        return _U_OPEN
+    if not (px or py):
+        return _N0_OPEN if x == y != DOT else _N2_OPEN
+    if px == i + 1:
+        return _N2_LOWER
+    # U between two active entries: a single one is its own partner, and
+    # the pattern is open when the partner at i comes first.
+    return _U_OPEN if (px or i) < (py or i + 1) else _U_LOWER
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,35 +161,16 @@ class SignedPattern:
             (e in _SIGNS) == (p <= r) for p, e in enumerate(self.entries, start=1)
         )
 
-    @property
-    def is_open_complex(self) -> bool:
-        """Complex counterpart: bare dots occupying the leading positions."""
-        r = self.rank
-        return not self.arcs and all(
-            (e == DOT) == (p <= r) for p, e in enumerate(self.entries, start=1)
-        )
-
     def sign_counts(self) -> tuple[int, int]:
         return (
             sum(1 for e in self.entries if e == PLUS),
             sum(1 for e in self.entries if e == MINUS),
         )
 
-    def arc_partner(self, p: int) -> int | None:
-        for j, k in self.arcs:
-            if p == j:
-                return k
-            if p == k:
-                return j
-        return None
-
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        body = "".join(self.entries)
-        if not self.arcs:
-            return body
-        return body + _arc_suffix(self.arcs)
+        return "".join(self.entries) + _arc_suffix(self.arcs)
 
     @classmethod
     def from_text(cls, text: str) -> "SignedPattern":
@@ -161,8 +184,11 @@ class SignedPattern:
             if not (rest.startswith("[") and rest.endswith("]")):
                 raise ValueError(f"malformed arc list {rest!r}")
             for chunk in rest[1:-1].split("]["):
-                j, k = chunk.split(",")
-                arcs.append((int(j), int(k)))
+                try:
+                    j, k = map(int, chunk.split(","))
+                except ValueError:
+                    raise ValueError(f"malformed arc list {rest!r}") from None
+                arcs.append((j, k))
         return cls(entries=entries, arcs=tuple(arcs))
 
     def sort_key(self):
@@ -175,20 +201,7 @@ class SignedPattern:
         self._check_position(i)
         entries = list(self.entries)
         entries[i - 1], entries[i] = entries[i], entries[i - 1]
-
-        def relabel(p: int) -> int:
-            if p == i:
-                return i + 1
-            if p == i + 1:
-                return i
-            return p
-
-        arcs = []
-        for j, k in self.arcs:
-            j, k = relabel(j), relabel(k)
-            arcs.append((j, k) if j < k else (k, j))
-        arcs.sort()
-        return SignedPattern._unchecked(tuple(entries), tuple(arcs))
+        return SignedPattern._unchecked(tuple(entries), _transpose_arcs(self.arcs, i))
 
     def _check_position(self, i: int) -> None:
         if not 1 <= i <= self.n - 1:
@@ -211,89 +224,20 @@ class SignedPattern:
                 rank += 1
         return rank
 
-    def _corner_rank_steps(self, i: int) -> list[int]:
-        # steps[b] is the increase of corner_rank(i, b) over corner_rank(i, b-1);
-        # corners with row bound i are the only ones the transposition can change.
-        steps = [0] * (self.n + 1)
-        arc_positions = set()
-        for j, k in self.arcs:
-            arc_positions.add(j)
-            arc_positions.add(k)
-            if j <= i:
-                steps[k] += 1
-            if k <= i:
-                steps[j] += 1
-        for p, e in enumerate(self.entries, start=1):
-            if p > i:
-                break
-            if e != ZERO and p not in arc_positions:
-                steps[p] += 1
-        return steps
-
-    def dominates(self, other: "SignedPattern", i: int) -> bool:
-        """Whether this pattern's corner ranks dominate the other's at position i.
-
-        For the two members of a U-pair exactly one direction dominates; the
-        dominating pattern is the open orbit of the span.
-        """
-        mine = self._corner_rank_steps(i)
-        theirs = other._corner_rank_steps(i)
-        gap = 0
-        for b in range(1, self.n + 1):
-            gap += mine[b] - theirs[b]
-            if gap:
-                return gap > 0
-        raise ValueError(
-            f"patterns {self.to_text()!r} and {other.to_text()!r} have equal corner "
-            f"ranks at position {i}; they do not form a U-pair"
-        )
-
-    def _u_open_here(self, i: int) -> bool:
-        # Closed form of the corner-rank comparison on a U-pair: an active
-        # entry dominates a zero, and an arc endpoint dominates when its
-        # partner comes first (a shorter arc reaches higher corner ranks).
-        x, y = self.entries[i - 1], self.entries[i]
-        px = self.arc_partner(i)
-        py = self.arc_partner(i + 1)
-        if y == ZERO:
-            return True
-        if x == ZERO:
-            return False
-        if px is None and py is not None:
-            return py > i + 1
-        if px is not None and py is None:
-            return px < i
-        if px is not None and py is not None:
-            return px < py
-        raise ValueError(
-            f"positions {i},{i + 1} of {self.to_text()!r} do not form a U-pair"
-        )
-
     # -- span classification ------------------------------------------------
 
     def classify_edge(self, i: int) -> tuple[EdgeType, bool]:
-        """Edge type at adjacent positions (i, i+1) and openness within the span."""
-        self._check_position(i)
-        x, y = self.entries[i - 1], self.entries[i]
-        if x == ZERO and y == ZERO:
-            return EdgeType.P, True
-        if x in _SIGNS and y in _SIGNS:
-            if x == y:
-                return EdgeType.N0, True
-            return EdgeType.N2, True
-        if (i, i + 1) in self.arcs:
-            return EdgeType.N2, False
-        return EdgeType.U, self._u_open_here(i)
+        """Span type at positions (i, i+1) and openness within the span.
 
-    def _classify_complex(self, i: int) -> tuple[EdgeType, bool]:
+        Complex patterns get the signed answer; their table's type is its
+        ``complex_type``.
+        """
+        self._check_position(i)
+        partner = {}
+        for j, k in self.arcs:
+            partner[j], partner[k] = k, j
         x, y = self.entries[i - 1], self.entries[i]
-        if x == ZERO and y == ZERO:
-            return EdgeType.P, True
-        if (i, i + 1) in self.arcs:
-            return EdgeType.N, False
-        if x == DOT and y == DOT and self.arc_partner(i) is None and self.arc_partner(i + 1) is None:
-            return EdgeType.N, True
-        return EdgeType.U, self._u_open_here(i)
+        return classify_cell(x, y, partner.get(i, 0), partner.get(i + 1, 0), i)
 
     def unsign(self) -> "SignedPattern":
         """Forget signs: the complex pattern under this real one."""
@@ -378,127 +322,85 @@ def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPatter
     return out
 
 
-_RELABEL_CACHE: dict[tuple[tuple[tuple[int, int], ...], int], str] = {}
-
-
-def _relabeled_arc_suffix(source_arcs, i: int) -> str:
-    """Arc suffix after swapping positions i and i+1; memoized."""
-    key = (source_arcs, i)
-    suffix = _RELABEL_CACHE.get(key)
-    if suffix is not None:
-        return suffix
-    arcs = []
-    for j, k in source_arcs:
-        if j == i:
-            j = i + 1
-        elif j == i + 1:
-            j = i
-        if k == i:
-            k = i + 1
-        elif k == i + 1:
-            k = i
-        arcs.append((j, k) if j < k else (k, j))
-    arcs.sort()
-    suffix = _arc_suffix(tuple(arcs))
-    _RELABEL_CACHE[key] = suffix
-    return suffix
-
-
 def _build(n: int, r: int, signed: bool) -> ReflectionTable:
     """Assemble the pattern table in one pass over (pattern, root) cells.
 
-    Each span is emitted exactly once, from a canonical member: the single
-    orbit for P/N0, the (+,-) open orbit for N2, the bare-dot orbit for
-    complex N, and the open member for U.  Orbit names are manipulated as
-    strings; the move index of the table is filled directly.  The test suite
-    rebuilds these tables through the validating ReflectionTable constructor
-    and checks they agree.
+    :func:`classify_cell` types each cell, and each span is emitted exactly
+    once, from a canonical member: the single orbit for P/N0, the (+,-) open
+    orbit for N2, the bare-dot orbit for complex N, and the open member for
+    U.  Orbit names are manipulated as strings; the move index of the table
+    is filled directly.  The test suite rebuilds these tables through the
+    validating ReflectionTable constructor and checks they agree.
     """
-    patterns = enumerate_patterns(n, r, signed=signed)
-    complex_mode = not signed
+    # Arc lists repeat a lot; their texts are memoized for this build only.
+    suffixes: dict[tuple[tuple[int, int], ...], str] = {}
+    swapped: dict[tuple[tuple[tuple[int, int], ...], int], str] = {}
+
+    def suffix(arcs):
+        text = suffixes.get(arcs)
+        if text is None:
+            text = suffixes[arcs] = _arc_suffix(arcs)
+        return text
+
+    def swapped_suffix(arcs, i):
+        text = swapped.get((arcs, i))
+        if text is None:
+            text = swapped[arcs, i] = suffix(_transpose_arcs(arcs, i))
+        return text
+
     orbits = []
-    rows = []
-    for p in patterns:
-        name = p.to_text()
+    spans_by_root: dict[int, list[Span]] = {i: [] for i in range(1, n)}
+    moves: dict[int, dict[str, str]] = {i: {} for i in range(1, n)}
+    span_lists = [spans_by_root[i] for i in range(1, n)]
+    move_maps = [moves[i] for i in range(1, n)]
+    classify, make_span = classify_cell, Span
+    type_u, type_n2 = EdgeType.U, EdgeType.N2
+    for p in enumerate_patterns(n, r, signed=signed):
         arcs = p.arcs
-        arc_free = not arcs
-        is_open = arc_free and ZERO not in p.entries[:r]
-        orbits.append(Orbit(name, is_open, arc_free))
+        name = "".join(p.entries) + suffix(arcs)
+        orbits.append(Orbit(name, not arcs and ZERO not in p.entries[:r], not arcs))
+        partner = None
         if arcs:
             partner = [0] * (n + 2)
             for j, k in arcs:
                 partner[j] = k
                 partner[k] = j
-        else:
-            partner = None
-        rows.append((name, arcs, partner))
-
-    spans_by_root: dict[int, list[Span]] = {i: [] for i in range(1, n)}
-    moves: dict[int, dict[str, str]] = {i: {} for i in range(1, n)}
-    span_lists = [spans_by_root[i] for i in range(1, n)]
-    move_maps = [moves[i] for i in range(1, n)]
-    make_span = Span
-    type_p, type_u = EdgeType.P, EdgeType.U
-    type_n0, type_n2, type_n = EdgeType.N0, EdgeType.N2, EdgeType.N
-    for name, arcs, partner in rows:
+        px = py = 0
         for i0 in range(n - 1):
             i = i0 + 1
-            i1 = i + 1
             x = name[i0]
-            y = name[i0 + 1]
-            x_active = x != ZERO
-            if not x_active and y == ZERO:
-                span_lists[i0].append(make_span(i, type_p, (name,)))
-                continue
-            if x_active and x != DOT and y != ZERO and y != DOT:
-                if x == y:
-                    span_lists[i0].append(make_span(i, type_n0, (name,)))
-                elif x == PLUS:
-                    other = name[:i0] + y + x + name[i0 + 2 :]
-                    arc_name = (
-                        name[:i0] + DOT + DOT + name[i0 + 2 : n]
-                        + _arc_suffix(tuple(sorted(arcs + ((i, i1),))))
-                    )
-                    span_lists[i0].append(
-                        make_span(i, type_n2, (name, other), (arc_name,))
-                    )
-                    move = move_maps[i0]
-                    move[name] = other
-                    move[other] = name
-                continue
+            y = name[i]
             if partner is not None:
                 px = partner[i]
-                py = partner[i1]
-                if px == i1:
-                    continue  # arc joining i, i+1: lower member of an N2/N span
-            else:
-                px = py = 0
-            if complex_mode and x == DOT and y == DOT and px == 0 and py == 0:
-                arc_name = (
-                    name[:i0] + DOT + DOT + name[i0 + 2 : n]
-                    + _arc_suffix(tuple(sorted(arcs + ((i, i1),))))
-                )
-                span_lists[i0].append(make_span(i, type_n, (name,), (arc_name,)))
-                continue
-            # U-pair: emit from the open member only.
-            if y == ZERO:
-                open_here = True
-            elif not x_active:
-                open_here = False
-            elif px == 0:
-                open_here = py > i1
-            elif py == 0:
-                open_here = px < i
-            else:
-                open_here = px < py
-            if open_here:
-                qname = name[:i0] + y + x + name[i0 + 2 :]
+                py = partner[i + 1]
+            edge, open_here = classify(x, y, px, py, i)
+            if not open_here:
+                continue  # emitted from the span's open member
+            if edge is type_u:
                 if px or py:
-                    qname = qname[:n] + _relabeled_arc_suffix(arcs, i)
-                span_lists[i0].append(make_span(i, type_u, (name,), (qname,)))
-                move = move_maps[i0]
-                move[name] = qname
-                move[qname] = name
+                    other = name[:i0] + y + x + name[i0 + 2 : n] + swapped_suffix(arcs, i)
+                else:
+                    other = name[:i0] + y + x + name[i0 + 2 :]
+                span = make_span(i, edge, (name,), (other,))
+            elif edge is type_n2:
+                if x == MINUS:
+                    continue  # emitted from the (+,-) member
+                lower = (
+                    name[:i0] + DOT + DOT + name[i0 + 2 : n]
+                    + suffix(tuple(sorted(arcs + ((i, i + 1),))))
+                )
+                if x == DOT:  # complex: one open orbit over the arc
+                    span_lists[i0].append(make_span(i, edge.complex_type, (name,), (lower,)))
+                    continue
+                other = name[:i0] + y + x + name[i0 + 2 :]
+                span = make_span(i, edge, (name, other), (lower,))
+            else:  # P and N0: the orbit alone
+                span_lists[i0].append(make_span(i, edge, (name,)))
+                continue
+            span_lists[i0].append(span)
+            move = move_maps[i0]
+            move[name] = other
+            move[other] = name
     return ReflectionTable._from_trusted_parts(
         orbits=orbits,
         cartan=CartanSpec.from_type("A", n - 1),
@@ -507,22 +409,31 @@ def _build(n: int, r: int, signed: bool) -> ReflectionTable:
     )
 
 
-@functools.lru_cache(maxsize=None)
+# Built tables by (n, r, signed), held weakly: callers holding a table share
+# it, and a table that no caller holds is freed.
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _table(n: int, r: int, signed: bool) -> ReflectionTable:
+    _check_shape(n, r)
+    table = _TABLES.get((n, r, signed))
+    if table is None:
+        table = _TABLES[n, r, signed] = _build(n, r, signed)
+    return table
+
+
 def build_table(n: int, r: int) -> ReflectionTable:
     """Reflection table of all signed patterns of rank r on n positions.
 
     The induced permutation of every root coincides with the adjacent
     transposition of entries.
     """
-    _check_shape(n, r)
-    return _build(n, r, signed=True)
+    return _table(n, r, signed=True)
 
 
-@functools.lru_cache(maxsize=None)
 def build_complex_table(n: int, r: int) -> ReflectionTable:
     """Same construction for unsigned (complex) patterns, with types P/U/N."""
-    _check_shape(n, r)
-    return _build(n, r, signed=False)
+    return _table(n, r, signed=False)
 
 
 @dataclass(frozen=True)

@@ -169,9 +169,19 @@ class CartanSpec:
         if not isinstance(obj, dict):
             raise ValueError("Cartan JSON must be an object")
         if "cartan" in obj:
-            return cls.from_matrix(obj["cartan"])
+            rows = obj["cartan"]
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in rows
+            ):
+                raise ValueError(f"Cartan 'cartan' must be a list of lists of integers, got {rows!r}")
+            return cls.from_matrix(rows)
         if "type" in obj and "rank" in obj:
-            return cls.from_type(str(obj["type"]), int(obj["rank"]))
+            letter, rank = obj["type"], obj["rank"]
+            if not isinstance(letter, str):
+                raise ValueError(f"Cartan 'type' must be a string, got {letter!r}")
+            if type(rank) is not int:
+                raise ValueError(f"Cartan 'rank' must be an integer, got {rank!r}")
+            return cls.from_type(letter, rank)
         raise ValueError("Cartan JSON needs either 'cartan' or 'type'+'rank'")
 
 

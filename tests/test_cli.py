@@ -286,13 +286,54 @@ _ABC = [{"id": "a"}, {"id": "b"}, {"id": "c"}]
             _table_json(_ABC[:2], {"root": 1, "type": "U", "open": "a", "lower": "b"}),
             "span 'open' must be a list",
         ),
+        (_table_json([{"id": 5}] + _ABC[1:], _N2_SPAN), "orbit 'id' must be a nonempty string"),
     ],
-    ids=["orbit-string", "orbit-flag-string", "root-list", "open-string", "open-lower-strings"],
+    ids=[
+        "orbit-string",
+        "orbit-flag-string",
+        "root-list",
+        "open-string",
+        "open-lower-strings",
+        "orbit-id-int",
+    ],
 )
 def test_table_json_shape_errors(tmp_path, capsys, table, message):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(table))
     code, out, err = run_cli(capsys, "braid-check", "--table", str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ValueError"
+    assert message in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        ({"cartan": 5}, "'cartan' must be a list of lists of integers"),
+        ({"cartan": [[2, 0], 5]}, "'cartan' must be a list of lists of integers"),
+        ({"cartan": [[2, "0"], [0, 2]]}, "'cartan' must be a list of lists of integers"),
+        ({"cartan": [[2, False], [False, 2]]}, "'cartan' must be a list of lists of integers"),
+        ({"type": "A", "rank": [1]}, "'rank' must be an integer"),
+        ({"type": "A", "rank": "1"}, "'rank' must be an integer"),
+        ({"type": "A", "rank": True}, "'rank' must be an integer"),
+        ({"type": 1, "rank": 1}, "'type' must be a string"),
+    ],
+    ids=[
+        "cartan-int",
+        "cartan-row-int",
+        "cartan-entry-string",
+        "cartan-entry-bool",
+        "rank-list",
+        "rank-string",
+        "rank-bool",
+        "type-int",
+    ],
+)
+def test_table_cartan_errors(capsys, monkeypatch, cartan, message):
+    table = dict(_table_json(_ABC, _N2_SPAN), cartan=cartan)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(table)))
+    code, out, err = run_cli(capsys, "orbits", "--table", "-", "--generators", "1")
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"]["type"] == "ValueError"

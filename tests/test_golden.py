@@ -1,0 +1,69 @@
+"""Golden outputs: CLI stdout and pattern tables must stay byte-identical.
+
+Each digest is the sha256 of the stdout of one in-process ``cli.main`` run,
+or of a pattern table's canonical JSON.  They were recorded from the code
+before the span-type classifier was unified, and pin the rule that
+refactors leave CLI output unchanged.  A deliberate output change updates
+the digest here and says why in the change log.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from borelorbits import build_complex_table, build_table
+from borelorbits.cli import main
+
+GOLDEN_CLI = {
+    "patterns --n 6 --r 4": "8ca03d2eecc31e0fada7f2d05c8a79477345deb30ce49b131ef379889e13be06",
+    "patterns --n 5 --r 3 --format json": "bf7ea35a4e2a234e3ab9aa22175feefc1e60f932601d5ed2c14ba04dc3dd215a",
+    "patterns --n 6 --r 5 --complex": "8fc385f54c3878d8ad9a75511582c55e8df1139ccd7197efbd8e7ba1fe384eb6",
+    "patterns --n 6 --r 6 --complex --format json": "650fc2618df87a715d34536398fced8712b53014e0864d6a680a30c6e463a029",
+    "sylvester --n 6 --r 4": "984ceef9e6427f61d4dfc13e09c29a1ea1f34827069e7f131577308b782ca0f0",
+    "sylvester --n 5 --r 5 --format json": "03e6d8877e47b3973bd371838354f6dd78fd8f22a715b17af718a7966bc342e4",
+    "orbits --example quadratic --n 5 --r 4": "c3da9ab81b638276c751f23e5d1be942af5b2e09635e4d84c7ff83bd5e629576",
+    "orbits --example quadratic --n 6 --r 4 --generators 1,3 --format json": "d8aec19bc46c61f436e8710745342f99a9aeab5f86b889b43fb2f60fed9b6418",
+    "orbits --example quadratic --n 5 --r 3 --generators 2,4 --domain open": "e73d3f9a1e73be76b265ff0689d06a6401b870bcbe90c302fc83de58d81d5272",
+    "braid-check --example quadratic --n 6 --r 5": "f5417c6ca898cd2b9bbd455152769a6735c46d996295747737c644c6facb9851",
+    "braid-check --example quadratic --n 6 --r 6 --open-only --format json": "3641f22704cdb8daf02f92fbfecbd56d3976bcdca43d204a99632810901c4a9a",
+    "braid-check --example quadratic --n 5 --r 4 --open-only --generators 1,3": "aecb4c5162251d14723eeb987d03f711a158a3c0dfa7dc12e20543f4df7e7e58",
+    "example ordered_pairs --n 4 --emit dot": "774ce357484f73e973157fba23a62689bc39b102f9bac37895c7e4eedae3de70",
+    "example ordered_pairs --n 4": "e578c68b959da3b73827f2a4bbbdc0642c9f91de2c865962ded82d2629d8fa4b",
+}
+
+GOLDEN_TABLES = {
+    "signed 4 2": "5e3e1d942cdc429b5d3e0b3e7a2653f5863e9b4dfcf73ce2c908704e338af9d3",
+    "signed 5 3": "3c55eceec09e107438e071ac6f47d92cb7836189d4bf511166180dfa6cdcd3e9",
+    "signed 6 4": "78bbefa293a84ef4b82b9d10806f46a01c75cf1ae8550c54b716d3f24c0e2fa3",
+    "signed 6 5": "028ec3eea7f2f329305c99771155cbb2a77f113447a1edaeffc14b65530a65ea",
+    "signed 6 6": "cca8734d1d8ece452404a9c375e1fa3e70def82fc9233dc293128a7865a9957b",
+    "complex 4 2": "73781fd3afed51c30dea25a9676c38fa0afee7e7801f5577982c5eba29ea8af5",
+    "complex 5 3": "98c667509b4c3cdabf4e670cd8c87f47b22987e4b20ae6dd704453b71e52fa61",
+    "complex 6 4": "2b2a636bf2d03362f4b65adfe696bca48c9954dffdee1f3e8ce8156eae9ed4c8",
+    "complex 6 5": "a61ead9a09ff9589b0de1eeca60e1c4c839b5da977063ee5818d8103fb2b52fc",
+    "complex 6 6": "56af11c32c140d7718681642f72ce5182bf52b8ab858eda8ca5e389c7bea294d",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI))
+def test_cli_stdout_matches_golden_digest(capsys, command):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out) == GOLDEN_CLI[command]
+
+
+def _table_json(key: str) -> str:
+    kind, n, r = key.split()
+    build = build_table if kind == "signed" else build_complex_table
+    return json.dumps(build(int(n), int(r)).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_TABLES))
+def test_pattern_table_matches_golden_digest(key):
+    assert _sha256(_table_json(key)) == GOLDEN_TABLES[key]

@@ -103,6 +103,26 @@ def test_classify_edge_table_rows():
     arc = SignedPattern.from_text("••0 [1,2]")
     assert arc.classify_edge(1) == (EdgeType.N2, False)
     assert SignedPattern.from_text("0+-").classify_edge(1) == (EdgeType.U, False)
+    # complex patterns: a bare-dot pair is N2, projected to N in their table
+    assert SignedPattern.from_text("••0").classify_edge(1) == (EdgeType.N2, True)
+    assert SignedPattern.from_text("••0").classify_edge(2) == (EdgeType.U, True)
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_classify_edge_agrees_with_tables(signed):
+    # Every cell of every table up to n = 6: the span holding a pattern has
+    # the classifier's type (projected for complex tables), and the pattern
+    # sits in an open slot exactly when the classifier calls it open.
+    for n in range(1, 7):
+        for r in range(n + 1):
+            table = build_table(n, r) if signed else build_complex_table(n, r)
+            for p in enumerate_patterns(n, r, signed=signed):
+                name = p.to_text()
+                for i in range(1, n):
+                    edge, open_here = p.classify_edge(i)
+                    span = table.span_of(name, i)
+                    assert span.type is (edge if signed else edge.complex_type), (name, i)
+                    assert open_here == (name in span.open_orbits), (name, i)
 
 
 def test_classify_type_invariant_under_distant_transpositions():
@@ -143,6 +163,9 @@ def test_text_round_trip():
     two_arcs = SignedPattern.from_text("+•••• [2,4][3,5]")
     assert two_arcs.arcs == ((2, 4), (3, 5))
     assert two_arcs.to_text() == "+•••• [2,4][3,5]"
+    for text in ("•• []", "•• [1]", "•• [a,b]", "•• [1,2,3]", "•• [1,2]["):
+        with pytest.raises(ValueError, match="malformed arc list"):
+            SignedPattern.from_text(text)
 
 
 def corner_rank_matrix(p):
@@ -182,7 +205,6 @@ def test_u_openness_matches_full_corner_dominance():
                     )
                     assert ge != le, (p.to_text(), i)
                     assert open_here == ge
-                    assert p.dominates(q, i) == ge
 
 
 def test_table_permutation_equals_transposition():
@@ -213,6 +235,19 @@ def test_bulk_tables_agree_with_validating_constructor():
                 assert revalidated.reflection_permutation(
                     i
                 ) == table.reflection_permutation(i)
+
+
+def test_built_tables_are_shared_only_while_held():
+    import gc
+    import weakref
+
+    table = build_table(5, 3)
+    assert build_table(5, 3) is table
+    assert build_complex_table(5, 3) is not table
+    held = weakref.ref(table)
+    del table
+    gc.collect()
+    assert held() is None
 
 
 def test_table_spans_follow_type_table():
