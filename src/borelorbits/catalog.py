@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 
 from .lattice import IntegerMatrix, count_open_real_orbits, elementary_divisors
-from .orbits import EdgeType, Orbit, ReflectionTable, Span
+from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count
 from .rootdata import CartanSpec, SphericalDatum
 
 
@@ -282,6 +282,7 @@ def build_torus_counterexample(cartan: CartanSpec) -> ReflectionTable:
     l = cartan.rank
     if l < 1:
         raise ValueError("torus counterexample needs rank >= 1")
+    check_orbit_count(2**l * (l + 1), f"torus counterexample of rank {l}")
     tuples = ["".join(t) for t in itertools.product("+-", repeat=l)]
     orbits = [Orbit(name=t, is_open=True, is_max_rank=True) for t in tuples]
     spans_by_root: dict[int, list[Span]] = {}

@@ -42,7 +42,8 @@ def _read_json(path: str):
             text = handle.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # Nesting deeper than the interpreter's recursion limit is unreadable too.
         raise ValueError(f"invalid JSON in {path!r}: {exc}") from exc
 
 

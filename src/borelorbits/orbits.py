@@ -5,6 +5,8 @@ splits into spans and which of the eight real edge types each span carries.
 The induced simple-reflection permutations, braid-relation checks, and
 orbit enumeration under subgroups of reflections are all computed from this
 combinatorial data; the table itself is input, not derived from geometry.
+Every table comes from the validating constructor, which stores each
+reflection as an involution on orbit indices (orbit k is the k-th name).
 
 Edge types and the permutation they induce on their span:
 
@@ -77,6 +79,16 @@ _SLOTS = {
     EdgeType.T: (1, 2, ((1, 2),)),
     EdgeType.N: (1, 1, ()),
 }
+
+
+# Builders refuse, before allocating, more orbits than this: the n = r = 10
+# pattern table (123,109 orbits) fits, n = r = 12 (2,430,355) does not.
+MAX_ORBITS = 500_000
+
+
+def check_orbit_count(count: int, what: str) -> None:
+    if count > MAX_ORBITS:
+        raise ValueError(f"{what}: {count} orbits is over the orbit limit {MAX_ORBITS}")
 
 
 class Orbit(NamedTuple):
@@ -181,28 +193,21 @@ class BraidReport:
         }
 
 
-def _braid_witness(
-    mi: Mapping[str, str], mj: Mapping[str, str], m: int, domain: set[str] | None
-) -> str | None:
-    """Least point on a cycle of s_i s_j whose length does not divide ``m``.
+def _braid_witness(si: list[int], sj: list[int], m: int, support: set[int]) -> int | None:
+    """Least index on a cycle of s_i s_j whose length does not divide ``m``.
 
-    ``mi`` and ``mj`` hold only the points each involution moves; ``domain``,
-    when given, is invariant under both.  Returns None when (s_i s_j)^m = id.
+    ``support`` holds the points s_i or s_j moves, cut down to an invariant
+    domain; it is consumed.  Returns None when (s_i s_j)^m = id there.
     """
-    support = mi.keys() | mj.keys()
-    if domain is not None:
-        support &= domain
     witness = None
     while support:
         start = support.pop()
         cycle = [start]
-        z = mj.get(start, start)
-        point = mi.get(z, z)
+        point = si[sj[start]]
         while point != start:
             cycle.append(point)
             support.discard(point)
-            z = mj.get(point, point)
-            point = mi.get(z, z)
+            point = si[sj[point]]
         if m % len(cycle):
             least = min(cycle)
             if witness is None or least < witness:
@@ -247,13 +252,43 @@ def _json_names(entry: dict, key: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _span_fault(span: Span, root: int, slot: int, index, cell, dims) -> ValueError:
+    """Why ``span`` cannot join the spans at ``root``; its members before ``slot`` passed.
+
+    Faults are tested in a fixed order, so a span with several reports one.
+    """
+    members = span.members
+    if len(set(members)) != len(members):
+        return ValueError(f"span members must be distinct, got {members}")
+    opens, lowers, _ = _SLOTS[span.type]
+    if len(span.open_orbits) != opens or len(span.lower_orbits) != lowers:
+        return ValueError(f"span of type {span.type.value} at root {root} has wrong slot counts")
+    if slot < len(members):
+        name = members[slot]
+        if name not in index:
+            return ValueError(f"span at root {root} names unknown orbit {name!r}")
+        if cell[index[name]] is not None:
+            return ValueError(f"orbit {name!r} appears in two spans at root {root}")
+        return ValueError(f"globally open orbit {name!r} sits in a lower slot at root {root}")
+    return ValueError(
+        f"U-span at root {root} pairs dim {dims[index[members[0]]]} with dim "
+        f"{dims[index[members[1]]]}; lower orbit must be one dimension below the open one"
+    )
+
+
 class ReflectionTable:
     """Immutable orbit set with a span decomposition per simple root.
 
     Construction validates that, for each root, the spans partition the orbit
     set, that slot counts match each span's type, that globally open orbits
     only ever occupy open slots, and (when dimensions are given) that U-spans
-    pair an orbit of dimension d with one of dimension d-1.
+    pair an orbit of dimension d with one of dimension d-1.  There is no other
+    way to make a table.
+
+    Orbit k is the k-th name in sorted order, and each reflection is a
+    ``list[int]`` involution on the indices.  Index order is name order, so
+    least witnesses and sorted classes need no names; names are made only for
+    results and error messages.
     """
 
     def __init__(
@@ -263,8 +298,12 @@ class ReflectionTable:
         spans: Iterable[Span],
     ) -> None:
         orbit_list = sorted(orbits, key=lambda o: o.name)
-        by_name = {o.name: o for o in orbit_list}
-        if len(by_name) != len(orbit_list):
+        names = tuple(o.name for o in orbit_list)
+        # The per-root lists start as copies of one identity list, so all of
+        # them share its int objects.
+        identity = list(range(len(names)))
+        index = dict(zip(names, identity))
+        if len(index) != len(names):
             raise ValueError("orbit names must be unique")
         for o in orbit_list:
             if not o.name:
@@ -274,148 +313,111 @@ class ReflectionTable:
 
         by_root: dict[int, list[Span]] = {i: [] for i in range(1, cartan.rank + 1)}
         for span in spans:
-            if span.root not in by_root:
+            root_spans = by_root.get(span.root)
+            if root_spans is None:
                 raise ValueError(f"span root {span.root} out of range 1..{cartan.rank}")
-            by_root[span.root].append(span.normalized())
+            root_spans.append(span)
 
-        span_by_root: dict[int, dict[str, Span]] = {}
-        all_moves: dict[int, dict[str, str]] = {}
-        orbit_count = len(by_name)
+        # One pass per root fills the involution and the span held at each
+        # index; a failed check hands the span to _span_fault for the error.
+        is_open = [o.is_open for o in orbit_list]
+        dims = [o.dim for o in orbit_list]
+        lookup, slots = index.get, _SLOTS
+        self._reflections: dict[int, list[int]] = {}
+        self._span_at: dict[int, list[Span]] = {}
         for root, root_spans in by_root.items():
-            cell: dict[str, Span] = {}
-            moves: dict[str, str] = {}
+            perm = identity.copy()
+            cell: list = [None] * len(names)
             for span in root_spans:
-                edge = span.type
-                members = span.open_orbits + span.lower_orbits
-                if len(members) > 1 and len(set(members)) != len(members):
-                    raise ValueError(f"span members must be distinct, got {members}")
-                oo = span.open_orbits
-                lo = span.lower_orbits
-                opens, lowers, swaps = _SLOTS[edge]
+                _, edge, oo, lo = span
+                opens, lowers, swaps = slots[edge]
                 if len(oo) != opens or len(lo) != lowers:
-                    raise ValueError(
-                        f"span of type {edge.value} at root {root} has wrong slot counts"
-                    )
-                for name in oo:
-                    if name in cell:
-                        raise ValueError(
-                            f"orbit {name!r} appears in two spans at root {root}"
-                        )
-                    if name not in by_name:
-                        raise ValueError(f"span at root {root} names unknown orbit {name!r}")
-                    cell[name] = span
-                for name in lo:
-                    if name in cell:
-                        raise ValueError(
-                            f"orbit {name!r} appears in two spans at root {root}"
-                        )
-                    orbit = by_name.get(name)
-                    if orbit is None:
-                        raise ValueError(f"span at root {root} names unknown orbit {name!r}")
-                    if orbit.is_open:
-                        raise ValueError(
-                            f"globally open orbit {name!r} sits in a lower slot at root {root}"
-                        )
-                    cell[name] = span
-                if edge is EdgeType.U:
-                    od = by_name[oo[0]].dim
-                    ld = by_name[lo[0]].dim
-                    if od is not None and ld is not None and od != ld + 1:
-                        raise ValueError(
-                            f"U-span at root {root} pairs dim {od} with dim {ld}; "
-                            "lower orbit must be one dimension below the open one"
-                        )
-                for a, b in swaps:
-                    moves[members[a]] = members[b]
-                    moves[members[b]] = members[a]
-            if len(cell) != orbit_count:
-                missing = set(by_name) - set(cell)
-                raise ValueError(
-                    f"orbits not covered by any span at root {root}: {sorted(missing)}"
-                )
-            span_by_root[root] = cell
-            all_moves[root] = moves
+                    raise _span_fault(span.normalized(), root, 0, index, cell, dims)
+                if not lowers:  # P, T0, N0: one fixed orbit
+                    k = lookup(oo[0])
+                    if k is None or cell[k] is not None:
+                        raise _span_fault(span, root, 0, index, cell, dims)
+                    cell[k] = span
+                    continue
+                if opens == 1 == lowers:  # U, N1, N
+                    a, b = lookup(oo[0]), lookup(lo[0])
+                    if a is None or cell[a] is not None:
+                        raise _span_fault(span, root, 0, index, cell, dims)
+                    cell[a] = span
+                    if b is None or cell[b] is not None or is_open[b]:
+                        raise _span_fault(span, root, 1, index, cell, dims)
+                    cell[b] = span
+                    if swaps:  # U: the open orbit sits one dimension above the lower
+                        perm[a], perm[b] = b, a
+                        if dims[a] is not None and dims[b] is not None and dims[a] != dims[b] + 1:
+                            raise _span_fault(span, root, 2, index, cell, dims)
+                    continue
+                if (opens == 2 and oo[0] > oo[1]) or (lowers == 2 and lo[0] > lo[1]):
+                    span = span.normalized()
+                    oo, lo = span.open_orbits, span.lower_orbits
+                ks = []
+                for slot, name in enumerate(oo + lo):
+                    k = lookup(name)
+                    if k is None or cell[k] is not None or (slot >= opens and is_open[k]):
+                        raise _span_fault(span, root, slot, index, cell, dims)
+                    cell[k] = span
+                    ks.append(k)
+                for x, y in swaps:
+                    perm[ks[x]], perm[ks[y]] = ks[y], ks[x]
+            if None in cell:
+                missing = [name for name, held in zip(names, cell) if held is None]
+                raise ValueError(f"orbits not covered by any span at root {root}: {missing}")
+            self._reflections[root] = perm
+            self._span_at[root] = cell
 
-        self._assign(tuple(orbit_list), by_name, cartan, by_root, span_by_root, all_moves)
-
-    @classmethod
-    def _from_trusted_parts(
-        cls,
-        orbits: list[Orbit],
-        cartan: CartanSpec,
-        spans_by_root: dict[int, list[Span]],
-        moves: dict[int, dict[str, str]],
-    ) -> "ReflectionTable":
-        # Bulk builders that guarantee the partition invariants by
-        # construction may skip re-validation; their output is checked
-        # against the validating constructor in the test suite.
-        self = object.__new__(cls)
-        orbit_list = sorted(orbits, key=lambda o: o.name)
-        by_name = {o.name: o for o in orbit_list}
-        self._assign(tuple(orbit_list), by_name, cartan, spans_by_root, None, moves)
-        return self
-
-    def _assign(self, orbits, by_name, cartan, spans_by_root, span_by_root, moves) -> None:
-        self.orbits: tuple[Orbit, ...] = orbits
+        self.orbits: tuple[Orbit, ...] = tuple(orbit_list)
         self.cartan = cartan
-        self._spans_raw = spans_by_root
-        self._spans_sorted: dict[int, tuple[Span, ...]] | None = None
-        self._by_name = by_name
-        self._span_by_root = span_by_root
+        self._names = names
+        self._index = index
+        self._spans: dict[int, tuple[Span, ...]] | None = None
         self._real_classes: tuple[tuple[str, ...], ...] | None = None
-        # Sparse involutions: only moved orbits are stored; lookups fall back
-        # to the identity.
-        self._moves = moves
 
     @property
     def spans(self) -> dict[int, tuple[Span, ...]]:
-        """Per-root span lists, deterministically ordered."""
-        if self._spans_sorted is None:
-            self._spans_sorted = {
-                root: tuple(sorted(lst, key=lambda s: s.open_orbits[0]))
-                for root, lst in self._spans_raw.items()
+        """Per-root span lists, ordered by their first open orbit."""
+        if self._spans is None:
+            self._spans = {
+                root: tuple(
+                    span for name, span in zip(self._names, cell) if span.open_orbits[0] == name
+                )
+                for root, cell in self._span_at.items()
             }
-        return self._spans_sorted
+        return self._spans
 
-    def _cells(self) -> dict[int, dict[str, Span]]:
-        if self._span_by_root is None:
-            cells: dict[int, dict[str, Span]] = {}
-            for root, root_spans in self._spans_raw.items():
-                cell: dict[str, Span] = {}
-                for span in root_spans:
-                    for name in span.open_orbits:
-                        cell[name] = span
-                    for name in span.lower_orbits:
-                        cell[name] = span
-                cells[root] = cell
-            self._span_by_root = cells
-        return self._span_by_root
+    def _reflection(self, root: int) -> list[int]:
+        try:
+            return self._reflections[root]
+        except KeyError:
+            raise ValueError(f"root index {root} out of range 1..{self.cartan.rank}") from None
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def orbit_names(self) -> tuple[str, ...]:
-        return tuple(o.name for o in self.orbits)
+        return self._names
 
     @property
     def open_orbit_names(self) -> tuple[str, ...]:
         return tuple(o.name for o in self.orbits if o.is_open)
 
     def orbit(self, name: str) -> Orbit:
-        return self._by_name[name]
+        return self.orbits[self._index[name]]
 
     def span_of(self, name: str, root: int) -> Span:
         try:
-            return self._cells()[root][name]
+            return self._span_at[root][self._index[name]]
         except KeyError:
             raise ValueError(f"no span for orbit {name!r} at root {root}") from None
 
     def reflection_permutation(self, root: int) -> dict[str, str]:
         """The involution induced by s_root on the full orbit set."""
-        if root not in self._moves:
-            raise ValueError(f"root index {root} out of range 1..{self.cartan.rank}")
-        moves = self._moves[root]
-        return {name: moves.get(name, name) for name in self._by_name}
+        names = self._names
+        return dict(zip(names, [names[k] for k in self._reflection(root)]))
 
     # -- braid relations ---------------------------------------------------
 
@@ -438,49 +440,44 @@ class ReflectionTable:
         failure the witness is the lexicographically least orbit on such a
         cycle, i.e. the least orbit moved by (s_i s_j)^{m_ij}.
         """
-        gens = sorted(set(generators)) if generators is not None else sorted(self._moves)
-        for g in gens:
-            if g not in self._moves:
-                raise ValueError(f"root index {g} out of range 1..{self.cartan.rank}")
-        domain = self._resolve_domain(restrict_to, gens)
+        gens = sorted(set(generators)) if generators is not None else sorted(self._reflections)
+        perms = [self._reflection(g) for g in gens]
+        domain = self._resolve_domain(restrict_to, gens, perms)
+        moved = [[k for k in domain if perm[k] != k] for perm in perms]
         results = []
         for x in range(len(gens)):
             for y in range(x + 1, len(gens)):
                 i, j = gens[x], gens[y]
                 m = self.cartan.coxeter_exponent(i, j)
-                witness = _braid_witness(self._moves[i], self._moves[j], m, domain)
-                results.append(
-                    BraidPair(i=i, j=j, exponent=m, holds=witness is None, witness=witness)
-                )
+                witness = _braid_witness(perms[x], perms[y], m, {*moved[x], *moved[y]})
+                name = None if witness is None else self._names[witness]
+                results.append(BraidPair(i, j, m, holds=name is None, witness=name))
         return BraidReport(pairs=tuple(results))
 
     def _resolve_domain(
-        self, restrict_to: Iterable[str] | None, gens: Sequence[int]
-    ) -> set[str] | None:
-        """The validated restriction as a set, or None for the whole orbit set.
+        self, restrict_to: Iterable[str] | None, gens: Sequence[int], perms: Sequence[list[int]]
+    ) -> set[int]:
+        """The validated restriction as a set of indices; None means all orbits.
 
-        A generator can only carry a name out of the subset if it moves that
-        name, so invariance is checked on each generator's moved points.
+        A subset is invariant when no generator carries one of its points
+        outside it; the whole orbit set always is.
         """
         if restrict_to is None:
-            return None
-        domain = set(restrict_to)
-        unknown = [name for name in domain if name not in self._by_name]
+            return set(range(len(self._names)))
+        subset = set(restrict_to)
+        unknown = [name for name in subset if name not in self._index]
         if unknown:
             raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
-        for g in gens:
-            moves = self._moves[g]
-            # Scan whichever is smaller: the moved points or the subset.
-            escaped = [
-                name
-                for name in min(moves, domain, key=len)
-                if name in domain and moves.get(name, name) not in domain
-            ]
+        domain = {self._index[name] for name in subset}
+        if len(domain) == len(self._names):
+            return domain
+        for g, perm in zip(gens, perms):
+            escaped = [k for k in domain if perm[k] not in domain]
             if escaped:
-                name = min(escaped)
+                k = min(escaped)
                 raise ValueError(
-                    f"restriction is not invariant: s_{g} moves {name!r} to "
-                    f"{moves[name]!r} outside the subset"
+                    f"restriction is not invariant: s_{g} moves {self._names[k]!r} to "
+                    f"{self._names[perm[k]]!r} outside the subset"
                 )
         return domain
 
@@ -496,28 +493,8 @@ class ReflectionTable:
         order of the input.
         """
         gens = sorted(set(generators))
-        for g in gens:
-            if g not in self._moves:
-                raise ValueError(f"root index {g} out of range 1..{self.cartan.rank}")
-        unvisited = self._resolve_domain(domain, gens)
-        if unvisited is None:
-            unvisited = set(self._by_name)
-        move_maps = [self._moves[g] for g in gens]
-        classes = []
-        while unvisited:
-            start = unvisited.pop()
-            block = {start}
-            queue = [start]
-            while queue:
-                current = queue.pop()
-                for moves in move_maps:
-                    image = moves.get(current, current)
-                    if image not in block:
-                        block.add(image)
-                        queue.append(image)
-            unvisited -= block
-            classes.append(tuple(sorted(block)))
-        return tuple(sorted(classes))
+        perms = [self._reflection(g) for g in gens]
+        return self._classes(self._resolve_domain(domain, gens, perms), perms)
 
     def real_group_orbit_classes(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the open orbits into real-group orbits.
@@ -528,38 +505,40 @@ class ReflectionTable:
         spans actually move open orbits, so the partition is the transitive
         closure of their open-slot swaps.
         """
-        if self._real_classes is not None:
-            return self._real_classes
-        opens = self.open_orbit_names
-        open_set = set(opens)
-        parent = {name: name for name in opens}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for root, root_spans in self._spans_raw.items():
-            for span in root_spans:
-                if span.type not in (EdgeType.T2, EdgeType.N2):
-                    continue
-                a, b = span.open_orbits
-                a_open = a in open_set
-                if a_open != (b in open_set):
-                    raise ValueError(
-                        f"T/N reflection s_{root} maps open orbit to non-open "
-                        f"within span {span.open_orbits}; table is inconsistent"
-                    )
-                if a_open:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[rb] = ra
-        blocks: dict[str, list[str]] = {}
-        for name in opens:
-            blocks.setdefault(find(name), []).append(name)
-        self._real_classes = tuple(sorted(tuple(sorted(block)) for block in blocks.values()))
+        if self._real_classes is None:
+            opens = {k for k, o in enumerate(self.orbits) if o.is_open}
+            for root, perm in self._reflections.items():
+                for k in sorted(opens):
+                    span = self._span_at[root][k]
+                    if span.type in (EdgeType.T2, EdgeType.N2) and perm[k] not in opens:
+                        raise ValueError(
+                            f"T/N reflection s_{root} maps open orbit to non-open "
+                            f"within span {span.open_orbits}; table is inconsistent"
+                        )
+            # A U-span carries an open orbit to a lower one, so the moves that
+            # stay among the open orbits are exactly those swaps.
+            self._real_classes = self._classes(opens, list(self._reflections.values()))
         return self._real_classes
+
+    def _classes(self, domain: set[int], perms: list[list[int]]) -> tuple[tuple[str, ...], ...]:
+        """Sorted components of ``domain`` under the moves that stay inside it."""
+        unvisited = set(domain)
+        classes = []
+        while unvisited:
+            start = unvisited.pop()
+            block = {start}
+            queue = [start]
+            while queue:
+                current = queue.pop()
+                for perm in perms:
+                    image = perm[current]
+                    if image not in block and image in domain:
+                        block.add(image)
+                        queue.append(image)
+            unvisited -= block
+            classes.append(sorted(block))
+        classes.sort()
+        return tuple(tuple(self._names[k] for k in block) for block in classes)
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -571,7 +550,7 @@ class ReflectionTable:
             for span in root_spans:
                 tally[span.type] = tally.get(span.type, 0) + 1
                 if span.type is EdgeType.T2 and any(
-                    self._by_name[name].is_max_rank for name in span.members
+                    self.orbit(name).is_max_rank for name in span.members
                 ):
                     t2_flag = True
             counts[root] = tally

@@ -40,10 +40,11 @@ comes first.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
-from .orbits import EdgeType, Orbit, ReflectionTable, Span
+from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count
 from .rootdata import CartanSpec
 
 ZERO = "0"
@@ -247,33 +248,17 @@ class SignedPattern:
         )
 
 
-def _double_factorial_matchings(k: int) -> int:
-    # number of perfect matchings on 2k points: (2k-1)!!
-    out = 1
-    for m in range(1, 2 * k, 2):
-        out *= m
-    return out
-
-
 def pattern_count(n: int, r: int, signed: bool) -> int:
     """Closed-form pattern count; the enumeration is tested against this."""
     _check_shape(n, r)
     total = 0
     for k in range(0, r // 2 + 1):
-        ways = _binomial(r, 2 * k) * _double_factorial_matchings(k)
+        # the 2k arc ends are matched in (2k-1)!! ways
+        ways = math.comb(r, 2 * k) * math.prod(range(1, 2 * k, 2))
         if signed:
             ways *= 2 ** (r - 2 * k)
         total += ways
-    return _binomial(n, r) * total
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for t in range(k):
-        out = out * (n - t) // (t + 1)
-    return out
+    return math.comb(n, r) * total
 
 
 def _check_shape(n: int, r: int) -> None:
@@ -296,7 +281,7 @@ def _matchings(points: tuple[int, ...]):
 
 def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPattern]:
     """All patterns with n positions and rank r, in lexicographic order."""
-    _check_shape(n, r)
+    check_orbit_count(pattern_count(n, r, signed), f"patterns n={n} r={r}")
     out = []
     for active in itertools.combinations(range(1, n + 1), r):
         for arc_count in range(0, r // 2 + 1):
@@ -328,9 +313,8 @@ def _build(n: int, r: int, signed: bool) -> ReflectionTable:
     :func:`classify_cell` types each cell, and each span is emitted exactly
     once, from a canonical member: the single orbit for P/N0, the (+,-) open
     orbit for N2, the bare-dot orbit for complex N, and the open member for
-    U.  Orbit names are manipulated as strings; the move index of the table
-    is filled directly.  The test suite rebuilds these tables through the
-    validating ReflectionTable constructor and checks they agree.
+    U.  Orbit names are manipulated as strings; the table constructor checks
+    the spans and derives the reflections from them.
     """
     # Arc lists repeat a lot; their texts are memoized for this build only.
     suffixes: dict[tuple[tuple[int, int], ...], str] = {}
@@ -349,11 +333,8 @@ def _build(n: int, r: int, signed: bool) -> ReflectionTable:
         return text
 
     orbits = []
-    spans_by_root: dict[int, list[Span]] = {i: [] for i in range(1, n)}
-    moves: dict[int, dict[str, str]] = {i: {} for i in range(1, n)}
-    span_lists = [spans_by_root[i] for i in range(1, n)]
-    move_maps = [moves[i] for i in range(1, n)]
-    classify, make_span = classify_cell, Span
+    spans: list[Span] = []
+    classify, add, make_span = classify_cell, spans.append, Span
     type_u, type_n2 = EdgeType.U, EdgeType.N2
     for p in enumerate_patterns(n, r, signed=signed):
         arcs = p.arcs
@@ -381,7 +362,7 @@ def _build(n: int, r: int, signed: bool) -> ReflectionTable:
                     other = name[:i0] + y + x + name[i0 + 2 : n] + swapped_suffix(arcs, i)
                 else:
                     other = name[:i0] + y + x + name[i0 + 2 :]
-                span = make_span(i, edge, (name,), (other,))
+                add(make_span(i, edge, (name,), (other,)))
             elif edge is type_n2:
                 if x == MINUS:
                     continue  # emitted from the (+,-) member
@@ -390,23 +371,12 @@ def _build(n: int, r: int, signed: bool) -> ReflectionTable:
                     + suffix(tuple(sorted(arcs + ((i, i + 1),))))
                 )
                 if x == DOT:  # complex: one open orbit over the arc
-                    span_lists[i0].append(make_span(i, edge.complex_type, (name,), (lower,)))
-                    continue
-                other = name[:i0] + y + x + name[i0 + 2 :]
-                span = make_span(i, edge, (name, other), (lower,))
+                    add(make_span(i, edge.complex_type, (name,), (lower,)))
+                else:
+                    add(make_span(i, edge, (name, name[:i0] + y + x + name[i0 + 2 :]), (lower,)))
             else:  # P and N0: the orbit alone
-                span_lists[i0].append(make_span(i, edge, (name,)))
-                continue
-            span_lists[i0].append(span)
-            move = move_maps[i0]
-            move[name] = other
-            move[other] = name
-    return ReflectionTable._from_trusted_parts(
-        orbits=orbits,
-        cartan=CartanSpec.from_type("A", n - 1),
-        spans_by_root=spans_by_root,
-        moves=moves,
-    )
+                add(make_span(i, edge, (name,)))
+    return ReflectionTable(orbits, CartanSpec.from_type("A", n - 1), spans)
 
 
 # Built tables by (n, r, signed), held weakly: callers holding a table share

@@ -24,6 +24,13 @@ from .lattice import IntegerMatrix
 _COXETER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
+def _is_int_rows(value) -> bool:
+    """Whether a JSON value is a list of lists of integers (bools excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in value
+    )
+
+
 def _chain(rank: int) -> list[list[int]]:
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i in range(rank - 1):
@@ -170,9 +177,7 @@ class CartanSpec:
             raise ValueError("Cartan JSON must be an object")
         if "cartan" in obj:
             rows = obj["cartan"]
-            if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(type(x) is int for x in row) for row in rows
-            ):
+            if not _is_int_rows(rows):
                 raise ValueError(f"Cartan 'cartan' must be a list of lists of integers, got {rows!r}")
             return cls.from_matrix(rows)
         if "type" in obj and "rank" in obj:
@@ -251,8 +256,16 @@ class SphericalDatum:
             raise ValueError("spherical datum JSON must be an object")
         cartan = CartanSpec.from_json(obj)
         try:
-            roots = tuple(tuple(int(x) for x in v) for v in obj["spherical_roots"])
+            roots = obj["spherical_roots"]
             sublattice = IntegerMatrix.from_json(obj["weight_sublattice"])
         except KeyError as exc:
             raise ValueError(f"spherical datum JSON is missing {exc}") from exc
-        return cls(cartan=cartan, spherical_roots=roots, weight_sublattice=sublattice)
+        if not _is_int_rows(roots):
+            raise ValueError(
+                f"datum 'spherical_roots' must be a list of lists of integers, got {roots!r}"
+            )
+        return cls(
+            cartan=cartan,
+            spherical_roots=tuple(map(tuple, roots)),
+            weight_sublattice=sublattice,
+        )

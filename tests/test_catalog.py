@@ -17,6 +17,8 @@ from borelorbits import (
     count_open_real_orbits,
     elementary_divisors,
 )
+from borelorbits import orbits as orbits_module
+from borelorbits.cli import main
 
 
 def compose(table, word):
@@ -192,6 +194,17 @@ def test_torus_counterexample_structure():
         table.orbit(name).is_open == (":" not in name) for name in table.orbit_names
     )
     assert_involutions(table)
+
+
+def test_torus_counterexample_refuses_sizes_over_the_orbit_limit(monkeypatch, capsys):
+    monkeypatch.setattr(orbits_module, "MAX_ORBITS", 100)
+    assert len(build_torus_counterexample(CartanSpec.from_label("A4")).orbits) == 80
+    with pytest.raises(ValueError, match="192 orbits is over the orbit limit 100"):
+        build_torus_counterexample(CartanSpec.from_label("A5"))
+    assert main(["braid-check", "--example", "torus", "--cartan", "A5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over the orbit limit" in captured.err
 
 
 def test_g2_case():

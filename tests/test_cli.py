@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_orbits import random_tables
 
-from borelorbits import IntegerMatrix, ReflectionTable
+from borelorbits import EdgeType, IntegerMatrix, ReflectionTable
 from borelorbits.cli import main
 
 
@@ -378,3 +382,112 @@ def test_outputs_conform_to_published_schemas(tmp_path, capsys):
     code, _, err = run_cli(capsys, "example", "mystery")
     assert code == 1
     validate(json.loads(err), "error.schema.json")
+
+
+@pytest.mark.parametrize("argv", [("orbits", "--table", "-"), ("snf", "--matrix", "-")])
+def test_deeply_nested_json_is_a_json_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("invalid JSON in '-'")
+
+
+# -- fuzzing the table readers -------------------------------------------------
+
+_FUZZ_NAMES = ("a", "b", "c", "d", "e")
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.sampled_from(_FUZZ_NAMES)
+    | st.text(max_size=2)
+)
+_names = st.lists(st.sampled_from(_FUZZ_NAMES), max_size=4)
+_orbit_entries = (
+    st.fixed_dictionaries(
+        {"id": st.sampled_from(_FUZZ_NAMES) | _leaves},
+        optional={
+            "open": st.booleans() | _leaves,
+            "max_rank": st.booleans() | _leaves,
+            "dim": st.integers(0, 3) | _leaves,
+        },
+    )
+    | _leaves
+)
+_span_entries = (
+    st.fixed_dictionaries(
+        {
+            "root": st.integers(0, 5) | _leaves,
+            "type": st.sampled_from([e.value for e in EdgeType] + ["Z"]) | _leaves,
+        },
+        optional={"open": _names | _leaves, "lower": _names | _leaves},
+    )
+    | _leaves
+)
+# Ranks stay at most 4: a Cartan type is expanded into its matrix before any
+# size check.
+_cartans = (
+    st.fixed_dictionaries(
+        {"type": st.sampled_from("ABCDGZ") | _leaves, "rank": st.integers(0, 4) | _leaves}
+    )
+    | st.fixed_dictionaries(
+        {"cartan": st.lists(st.lists(st.integers(-3, 2), max_size=4), max_size=4) | _leaves}
+    )
+    | _leaves
+)
+_shaped_tables = st.fixed_dictionaries(
+    {
+        "orbits": st.lists(_orbit_entries, max_size=6) | _leaves,
+        "cartan": _cartans,
+        "spans": st.lists(_span_entries, max_size=12) | _leaves,
+    }
+) | _leaves
+
+
+@st.composite
+def _mutated_tables(draw):
+    """Valid table JSON, sometimes with one entry changed in one field or dropped."""
+    obj = draw(random_tables()).to_json()
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(("orbits", "spans")))
+        if obj[key]:
+            index = draw(st.integers(0, len(obj[key]) - 1))
+            entry = dict(obj[key][index])
+            entry[draw(st.sampled_from(sorted(entry) + ["dim"]))] = draw(_leaves | _names)
+            obj[key][index] = entry
+            if draw(st.booleans()):
+                del obj[key][index]
+    return obj
+
+
+def _run_on_stdin(argv, text):
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_shaped_tables | _mutated_tables())
+def test_table_readers_accept_or_refuse_cleanly(obj):
+    text = json.dumps(obj)
+    for argv in (["orbits", "--table", "-"], ["braid-check", "--table", "-"]):
+        code, out, err = _run_on_stdin(argv, text)
+        if code == 1:
+            assert out == ""
+            assert err.count("\n") == 1
+            assert isinstance(json.loads(err)["error"]["message"], str)
+        else:
+            assert code == 0 and err == ""
+    if code == 0:
+        table = ReflectionTable.from_json(obj)
+        assert ReflectionTable.from_json(table.to_json()).to_json() == table.to_json()
+        for root in range(1, table.cartan.rank + 1):
+            perm = table.reflection_permutation(root)
+            assert all(perm[perm[name]] == name for name in table.orbit_names)

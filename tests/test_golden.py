@@ -3,7 +3,9 @@
 Each digest is the sha256 of the stdout of one in-process ``cli.main`` run,
 or of a pattern table's canonical JSON.  They were recorded from the code
 before the span-type classifier was unified, and pin the rule that
-refactors leave CLI output unchanged.  A deliberate output change updates
+refactors leave CLI output unchanged.  The runs with a nonzero exit status,
+the catalog commands and the reflection digest were recorded before the
+table moved to integer orbit indices.  A deliberate output change updates
 the digest here and says why in the change log.
 """
 
@@ -12,7 +14,15 @@ import json
 
 import pytest
 
-from borelorbits import build_complex_table, build_table
+from borelorbits import (
+    CartanSpec,
+    build_complex_table,
+    build_g2_case,
+    build_ordered_pairs,
+    build_table,
+    build_torus_counterexample,
+    build_unordered_pairs,
+)
 from borelorbits.cli import main
 
 GOLDEN_CLI = {
@@ -30,7 +40,30 @@ GOLDEN_CLI = {
     "braid-check --example quadratic --n 5 --r 4 --open-only --generators 1,3": "aecb4c5162251d14723eeb987d03f711a158a3c0dfa7dc12e20543f4df7e7e58",
     "example ordered_pairs --n 4 --emit dot": "774ce357484f73e973157fba23a62689bc39b102f9bac37895c7e4eedae3de70",
     "example ordered_pairs --n 4": "e578c68b959da3b73827f2a4bbbdc0642c9f91de2c865962ded82d2629d8fa4b",
+    "example unordered_pairs --n 5": "df1b82b104f7e0e61f5a1bdd9053ff18149b4c0064b175834a8cd5734f69c2e5",
+    "orbits --example ordered_pairs --n 6": "38017475959b85ebcde01e0944dd6688a60e5c599f99a2e6ffcb2e42a7d6b871",
+    "braid-check --example g2 --format json": "0373dcaafc3eaf2571ca20b727dbdca1af6e7de68e032e2655a1d41d6e7ab5da",
 }
+
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output
+
+# Runs that end with a nonzero status: (status, stdout digest, stderr digest).
+GOLDEN_CLI_STATUS = {
+    "braid-check --example torus --cartan A4 --strict": (
+        2,
+        "3a8060d35bca7ea2d3c63e4bc525b87f48ef85d232ae60866dbb29b823a749d5",
+        _EMPTY,
+    ),
+    "braid-check --example quadratic --n 5 --r 3 --open-only": (
+        1,
+        _EMPTY,
+        "49b4af0ef9ac06b04551bf5c482694c006df7f13156f64b7793fe39ffbe9969a",
+    ),
+}
+
+# Every reflection, braid verdict, real-group class and adjacent-pair subgroup
+# orbit of the small pattern tables and catalog families, as canonical JSON.
+GOLDEN_REFLECTIONS = "b8c70099a9f222166c07b6d087725ea45a82866dd47aad5fe40d090c7c3515f3"
 
 GOLDEN_TABLES = {
     "signed 4 2": "5e3e1d942cdc429b5d3e0b3e7a2653f5863e9b4dfcf73ce2c908704e338af9d3",
@@ -56,6 +89,48 @@ def test_cli_stdout_matches_golden_digest(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == GOLDEN_CLI[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI_STATUS))
+def test_cli_status_and_streams_match_golden_digest(capsys, command):
+    code = main(command.split())
+    captured = capsys.readouterr()
+    assert (code, _sha256(captured.out), _sha256(captured.err)) == GOLDEN_CLI_STATUS[command]
+
+
+def _small_tables():
+    for n in range(1, 7):
+        for r in range(n + 1):
+            yield f"signed {n} {r}", build_table(n, r)
+            yield f"complex {n} {r}", build_complex_table(n, r)
+    for n in range(2, 6):
+        yield f"ordered_pairs {n}", build_ordered_pairs(n)[1]
+        yield f"unordered_pairs {n}", build_unordered_pairs(n)[1]
+    for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"):
+        yield f"torus {label}", build_torus_counterexample(CartanSpec.from_label(label))
+    yield "g2_case", build_g2_case()
+
+
+def _reflection_record(table) -> dict:
+    rank = table.cartan.rank
+    names = table.orbit_names
+    return {
+        "orbits": list(names),
+        "reflections": {
+            str(i): sorted(table.reflection_permutation(i).items()) for i in range(1, rank + 1)
+        },
+        "braid": table.check_braid().to_json(),
+        "real_classes": [list(c) for c in table.real_group_orbit_classes()],
+        "subgroup_orbits": {
+            f"{i},{i + 1}": [list(c) for c in table.subgroup_orbits([i, i + 1], names)]
+            for i in range(1, rank)
+        },
+    }
+
+
+def test_reflections_match_golden_digest():
+    record = {key: _reflection_record(table) for key, table in _small_tables()}
+    assert _sha256(json.dumps(record, sort_keys=True)) == GOLDEN_REFLECTIONS
 
 
 def _table_json(key: str) -> str:

@@ -15,6 +15,8 @@ from borelorbits import (
     pattern_count,
     sylvester_classes,
 )
+from borelorbits import orbits as orbits_module
+from borelorbits.cli import main
 from borelorbits.patterns import DOT, PLUS
 
 
@@ -70,6 +72,22 @@ def test_enumeration_rejects_bad_shapes():
         enumerate_patterns(3, -1)
     with pytest.raises(ValueError):
         enumerate_patterns(0, 0)
+
+
+def test_orbit_limit_admits_n10_and_refuses_n12():
+    assert pattern_count(10, 10, True) <= orbits_module.MAX_ORBITS < pattern_count(12, 12, True)
+
+
+def test_enumeration_refuses_shapes_over_the_orbit_limit(monkeypatch, capsys):
+    monkeypatch.setattr(orbits_module, "MAX_ORBITS", 100)
+    assert len(enumerate_patterns(4, 2)) == pattern_count(4, 2, True) == 30
+    assert len(enumerate_patterns(5, 3, signed=False)) == 40
+    with pytest.raises(ValueError, match="140 orbits is over the orbit limit 100"):
+        enumerate_patterns(5, 3)
+    assert main(["patterns", "--n", "5", "--r", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over the orbit limit" in captured.err
 
 
 def test_pattern_validation():

@@ -219,3 +219,17 @@ def test_spherical_datum_json_round_trip():
     assert again.spherical_roots == datum.spherical_roots
     assert again.cartan == datum.cartan
     assert again.weight_sublattice.entries == datum.weight_sublattice.entries
+
+
+@pytest.mark.parametrize(
+    "roots", [5, [["1", "0"]], [[True, 0]]], ids=["int", "entry-string", "entry-bool"]
+)
+def test_spherical_datum_json_rejects_roots_that_are_not_integer_rows(roots):
+    obj = SphericalDatum(
+        cartan=CartanSpec.from_label("B2"),
+        spherical_roots=((1, 0),),
+        weight_sublattice=IntegerMatrix.identity(2),
+    ).to_json()
+    obj["spherical_roots"] = roots
+    with pytest.raises(ValueError, match="'spherical_roots' must be a list of lists of integers"):
+        SphericalDatum.from_json(obj)
