@@ -7,7 +7,10 @@ number of even m_i, and the open orbits are separated by the signs of the
 coordinates sitting at the even divisors.
 
 Everything here is exact.  Matrices carry arbitrary-precision Python
-integers; there is no floating point and no modular arithmetic.
+integers; there is no floating point and no modular arithmetic.  One
+elimination, ``_diagonalize``, serves every caller: ``smith_normal_form``
+hands it the unimodular transforms to update, while ``elementary_divisors``
+and ``IntegerMatrix.rank`` only need the diagonal and run it without them.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ class IntegerMatrix:
         return _det_bareiss([list(row) for row in self.entries])
 
     def rank(self) -> int:
-        """Rank over the rationals (computed exactly)."""
-        return sum(1 for d in _diagonalize([list(r) for r in self.entries])[0] if d != 0)
+        """Rank over the rationals: the nonzero Smith diagonal, without transforms."""
+        return sum(1 for d in _diagonalize([list(r) for r in self.entries]) if d != 0)
 
     def to_json(self) -> dict:
         return {
@@ -178,52 +181,65 @@ def _det_bareiss(a: list[list[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Reduce ``a`` in place to Smith diagonal form, tracking transforms.
+def _diagonalize(
+    a: list[list[int]],
+    u: list[list[int]] | None = None,
+    v: list[list[int]] | None = None,
+) -> list[int]:
+    """Reduce ``a`` in place to Smith diagonal form and return the diagonal.
 
-    Returns (diagonal, u, v) with u @ a_original @ v equal to the diagonal
-    matrix.  Pivoting picks the smallest nonzero entry in absolute value,
-    scanning rows then columns, so the transforms are reproducible.
+    The transforms ride along only when given: every row operation on ``a``
+    is also applied to ``u`` and every column operation to ``v``, so passing
+    identity matrices leaves u @ a_original @ v equal to the diagonal matrix.
+    Without them the elimination does the same steps on ``a`` alone.
+    Pivoting picks the smallest nonzero entry in absolute value, the first
+    in row-major order, so the transforms are reproducible.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
         # row[dst] += q * row[src]
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
         for row in a:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += q * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     def pivot_at(t):
         """Smallest-|value| nonzero entry of the trailing submatrix, row-major tie-break."""
-        best = None
+        best, best_row = 0, None
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+            low = min(map(abs, filter(None, a[i][t:])), default=0)
+            if low and (best_row is None or low < best):
+                best, best_row = low, i
+                if low == 1:
+                    break
+        if best_row is None:
+            return None
+        return best_row, t + list(map(abs, a[best_row][t:])).index(best)
 
     t = 0
     while t < min(nrows, ncols):
@@ -253,6 +269,8 @@ def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[l
             if not clean:
                 pos = pivot_at(t)
                 continue
+            if p == 1:
+                break  # 1 divides everything: no sweep needed
             # Pivot must divide the rest of the submatrix for the divisor chain.
             culprit = None
             for i in range(t + 1, nrows):
@@ -268,8 +286,13 @@ def _diagonalize(a: list[list[int]]) -> tuple[list[int], list[list[int]], list[l
             pos = pivot_at(t)
         t += 1
 
-    diag = [a[i][i] for i in range(min(nrows, ncols))]
-    return diag, u, v
+    return [a[i][i] for i in range(min(nrows, ncols))]
+
+
+def _nonempty_rows(matrix: IntegerMatrix) -> list[list[int]]:
+    if matrix.rows == 0 or matrix.cols == 0:
+        raise ValueError("smith_normal_form requires a nonempty matrix")
+    return [list(row) for row in matrix.entries]
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> SnfDecomposition:
@@ -280,9 +303,10 @@ def smith_normal_form(matrix: IntegerMatrix) -> SnfDecomposition:
     d_i | d_{i+1}.  The diagonal is unique; the transforms are deterministic
     for a given input.
     """
-    if matrix.rows == 0 or matrix.cols == 0:
-        raise ValueError("smith_normal_form requires a nonempty matrix")
-    diag, u, v = _diagonalize([list(row) for row in matrix.entries])
+    a = _nonempty_rows(matrix)
+    u = [[1 if i == j else 0 for j in range(matrix.rows)] for i in range(matrix.rows)]
+    v = [[1 if i == j else 0 for j in range(matrix.cols)] for i in range(matrix.cols)]
+    diag = _diagonalize(a, u, v)
     return SnfDecomposition(
         d=DivisorList(tuple(diag)),
         u=IntegerMatrix.from_rows(u),
@@ -294,10 +318,10 @@ def elementary_divisors(sublattice_basis: IntegerMatrix) -> DivisorList:
     """Elementary divisors of the row span inside the ambient lattice ZZ^n.
 
     The rows must be linearly independent over the rationals; a rank-deficient
-    input is rejected rather than silently saturated.
+    input is rejected rather than silently saturated.  Only the diagonal is
+    computed: the elimination runs without transforms.
     """
-    snf = smith_normal_form(sublattice_basis)
-    divisors = tuple(snf.d)
+    divisors = tuple(_diagonalize(_nonempty_rows(sublattice_basis)))
     rank = sum(1 for d in divisors if d != 0)
     if rank < sublattice_basis.rows:
         raise ValueError(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_orbits import random_tables
 
-from borelorbits import EdgeType, IntegerMatrix, ReflectionTable
+from borelorbits import EdgeType, IntegerMatrix, ReflectionTable, rootdata
 from borelorbits.cli import main
 
 
@@ -342,6 +342,40 @@ def test_table_cartan_errors(capsys, monkeypatch, cartan, message):
     payload = json.loads(err)
     assert payload["error"]["type"] == "ValueError"
     assert message in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [{"type": "A", "rank": 3}, {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}],
+    ids=["type-rank", "explicit"],
+)
+def test_table_cartan_over_the_rank_limit(capsys, monkeypatch, cartan):
+    monkeypatch.setattr(rootdata, "MAX_RANK", 2)
+    table = dict(_table_json(_ABC, _N2_SPAN), cartan=cartan)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(table)))
+    code, out, err = run_cli(capsys, "orbits", "--table", "-")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == {
+        "type": "ValueError",
+        "message": "Cartan rank 3 is over the rank limit 2",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("braid-check", "--example", "torus", "--cartan", "A3"),
+        ("example", "ordered_pairs", "--n", "3"),
+    ],
+    ids=["cartan-label", "catalog-n"],
+)
+def test_cli_refuses_ranks_over_the_limit(capsys, monkeypatch, argv):
+    monkeypatch.setattr(rootdata, "MAX_RANK", 2)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["message"] == "Cartan rank 3 is over the rank limit 2"
 
 
 def test_outputs_conform_to_published_schemas(tmp_path, capsys):

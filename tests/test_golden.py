@@ -5,12 +5,17 @@ or of a pattern table's canonical JSON.  They were recorded from the code
 before the span-type classifier was unified, and pin the rule that
 refactors leave CLI output unchanged.  The runs with a nonzero exit status,
 the catalog commands and the reflection digest were recorded before the
-table moved to integer orbit indices.  A deliberate output change updates
-the digest here and says why in the change log.
+table moved to integer orbit indices.  The lattice digests (``snf`` and
+``divisors``) were recorded before the elimination made its transforms
+optional, and pin u and v byte for byte.  A deliberate output change
+updates the digest here and says why in the change log.
 """
 
 import hashlib
+import io
 import json
+import random
+import sys
 
 import pytest
 
@@ -79,6 +84,56 @@ GOLDEN_TABLES = {
 }
 
 
+_LATTICE_COMMANDS = ("snf --matrix - --format json", "snf --matrix -", "divisors --matrix -")
+
+
+def _lattice_inputs() -> dict[str, list[list[int]]]:
+    rng = random.Random(12)
+    return {
+        "dense12": [[rng.randint(-50, 50) for _ in range(12)] for _ in range(12)],
+        "rect3x5": [[2, 4, 6, 8, 10], [3, -1, 4, 1, 5], [0, 7, -2, 9, 6]],
+        "deficient4": [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, -1, 2], [1, 3, 2, 6]],
+        "unordered20": [list(r) for r in build_unordered_pairs(20)[0].weight_sublattice.entries],
+        "empty": [],
+    }
+
+
+_RANK_DEFICIENT = "69c53ffa80e46d218ecfa00c83ce77c3cc090d7db96a2b568bca3b39824ddcc6"
+_NONEMPTY = "76687fdd188f30330181ba1b6519aa2572f2fce9b521c03736d93119939b6b5a"
+
+# (input, command) -> (status, stdout digest, stderr digest), matrix read from stdin.
+GOLDEN_LATTICE = {
+    ("dense12", "snf --matrix - --format json"): (
+        0, "cc4b48bc62a37774566b0ffad696806ad86634a40373164fba8ce11ca5a090eb", _EMPTY),
+    ("dense12", "snf --matrix -"): (
+        0, "8e5b67cbab90ecb81262adf27fb06eba25bae8e05873f92b0b178bba784d4eb4", _EMPTY),
+    ("dense12", "divisors --matrix -"): (
+        0, "976bbcdc6554d52e4bcd08d7a7c0fbbcde91e76f78d55e5e8d4eb762270e1d83", _EMPTY),
+    ("rect3x5", "snf --matrix - --format json"): (
+        0, "51e86c65a6ffb0ef2098bdde8f9baf938421f89942cb4dc6b93a8ca848911e70", _EMPTY),
+    ("rect3x5", "snf --matrix -"): (
+        0, "06f35ef7cd421c36e7038b7464a5cb6c6cbadd72a1f60d014c996ab6c406dd36", _EMPTY),
+    ("rect3x5", "divisors --matrix -"): (
+        0, "6e3efc811d40b03baab295f398ccc5f3a0b8c8c98c77fcd857540eea09e69f33", _EMPTY),
+    ("deficient4", "snf --matrix - --format json"): (
+        0, "1a5c5de688c1e1b1d9c6d7cbb3ba2ac2e04708e8c5d25f4803f7085c12c286e7", _EMPTY),
+    ("deficient4", "snf --matrix -"): (
+        0, "4515fc6ed5e11cf1fb95606ef1c48d21478fbc392732ea239c38dd914e030adb", _EMPTY),
+    # "sublattice basis is rank-deficient: 4 rows but rank 2"
+    ("deficient4", "divisors --matrix -"): (1, _EMPTY, _RANK_DEFICIENT),
+    ("unordered20", "snf --matrix - --format json"): (
+        0, "1406b133f00dd5b892756f2e56d30947a24845faa4aeb7d3fbf039b0dddcd8a0", _EMPTY),
+    ("unordered20", "snf --matrix -"): (
+        0, "ed60ff403e2dc73806db3acae1ae7185ebbaf4c2207798dbc56bf0d1fa34bc1f", _EMPTY),
+    ("unordered20", "divisors --matrix -"): (
+        0, "1258867c4a83ddc03b35b4375fd39b286b0872d538091cb88af7b29a049e2089", _EMPTY),
+    # "smith_normal_form requires a nonempty matrix", for divisors too
+    ("empty", "snf --matrix - --format json"): (1, _EMPTY, _NONEMPTY),
+    ("empty", "snf --matrix -"): (1, _EMPTY, _NONEMPTY),
+    ("empty", "divisors --matrix -"): (1, _EMPTY, _NONEMPTY),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -96,6 +151,17 @@ def test_cli_status_and_streams_match_golden_digest(capsys, command):
     code = main(command.split())
     captured = capsys.readouterr()
     assert (code, _sha256(captured.out), _sha256(captured.err)) == GOLDEN_CLI_STATUS[command]
+
+
+@pytest.mark.parametrize(
+    "name,command", sorted(GOLDEN_LATTICE), ids=lambda x: x.replace(" --matrix -", "")
+)
+def test_lattice_status_and_streams_match_golden_digest(capsys, monkeypatch, name, command):
+    rows = _lattice_inputs()[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"entries": rows})))
+    code = main(command.split())
+    captured = capsys.readouterr()
+    assert (code, _sha256(captured.out), _sha256(captured.err)) == GOLDEN_LATTICE[name, command]
 
 
 def _small_tables():

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelorbits import (
     DivisorList,
@@ -114,6 +116,49 @@ def test_snf_random_property_suite():
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         check_decomposition(m)
+
+
+@st.composite
+def integer_matrices(draw):
+    """1x1 to 8x8 matrices with entries up to 10**6, zero rows and columns,
+    and rows that repeat or scale earlier rows (so ranks fall short)."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    bound = draw(st.sampled_from([1, 9, 10**6]))
+    entry = st.integers(-bound, bound) | st.just(0)
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "multiple"]))
+        if kind == "zero":
+            out.append([0] * cols)
+        elif kind == "multiple" and out:
+            earlier = draw(st.sampled_from(out))
+            factor = draw(st.integers(-3, 3))
+            out.append([factor * x for x in earlier])
+        else:
+            out.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in out:
+            row[j] = 0
+    return IntegerMatrix.from_rows(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_rank_and_divisors_agree_with_the_transformed_snf(m):
+    snf = smith_normal_form(m)
+    d = list(snf.d)
+    rank = sum(1 for x in d if x != 0)
+    assert m.rank() == rank
+    assert (snf.u @ m @ snf.v).entries == snf.diagonal_matrix().entries
+    assert snf.u.det() in (1, -1) and snf.v.det() in (1, -1)
+    if rank == m.rows:
+        assert list(elementary_divisors(m)) == d
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            elementary_divisors(m)
+        assert str(excinfo.value) == (
+            f"sublattice basis is rank-deficient: {m.rows} rows but rank {rank}"
+        )
 
 
 def test_elementary_divisors_doubled_basis():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from borelorbits import CartanSpec, IntegerMatrix, SphericalDatum
+from borelorbits import CartanSpec, IntegerMatrix, SphericalDatum, rootdata
 
 
 def test_classical_cartan_matrices():
@@ -16,6 +16,22 @@ def test_classical_cartan_matrices():
     assert CartanSpec.from_label("G2").matrix == ((2, -3), (-1, 2))
     d4 = CartanSpec.from_label("D4").matrix
     assert d4[2][3] == 0 and d4[1][3] == -1 and d4[1][2] == -1
+
+
+def test_rank_limit_admits_the_largest_family_and_refuses_before_building():
+    assert CartanSpec.from_type("B", 200).rank == 200 <= rootdata.MAX_RANK
+    over = rootdata.MAX_RANK + 1
+    with pytest.raises(ValueError, match=f"Cartan rank {over} is over the rank limit"):
+        CartanSpec.from_type("A", over)
+    with pytest.raises(ValueError, match="Cartan rank 100000 is over the rank limit"):
+        CartanSpec.from_label("A100000")  # would be 10**10 entries if built
+
+
+def test_rank_limit_covers_explicit_matrices(monkeypatch):
+    monkeypatch.setattr(rootdata, "MAX_RANK", 2)
+    assert CartanSpec.from_label("B2").rank == 2
+    with pytest.raises(ValueError, match="Cartan rank 3 is over the rank limit 2"):
+        CartanSpec.from_matrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 
 
 def test_cartan_validation():
