@@ -20,6 +20,12 @@ Four constructions are provided:
 * ``build_g2_case()``: the rank-2 instance of the above over the G2 Cartan
   matrix, where m = 6 keeps the braid relation intact.
 
+Each builder collects its orbits and one flat list of spans, fills every
+(root, orbit) cell that no span covers with a P singleton, and hands both to
+the validating ``ReflectionTable`` constructor, which groups the spans by
+root.  The two pair families share the ladder at the long roots
+(``_ladder_block``); each adds its own spans at the short root.
+
 Weight sublattices are written in an explicit basis of the character
 lattice, namely (eps_1, ..., eps_{n-1}, (eps_1 + ... + eps_n)/2), so that
 all coordinates are integers and the divisor computation applies directly.
@@ -106,116 +112,59 @@ def _coeff_vector(n: int, *terms: tuple[int, int]) -> list[int]:
     return v
 
 
-def _complete_with_singletons(
-    orbit_names, spans_by_root: dict[int, list[Span]], rank: int
-) -> list[Span]:
-    """Fill every uncovered (orbit, root) cell with a P singleton."""
-    spans = []
-    for root in range(1, rank + 1):
-        root_spans = spans_by_root.get(root, [])
-        covered = {name for span in root_spans for name in span.members}
-        spans.extend(root_spans)
-        for name in orbit_names:
-            if name not in covered:
-                spans.append(Span(root=root, type=EdgeType.P, open_orbits=(name,)))
-    return spans
+def _complete_with_singletons(orbits: list[Orbit], spans: list[Span], rank: int) -> list[Span]:
+    """The spans plus a P singleton in every (root, orbit) cell they leave uncovered."""
+    covered = {(span.root, name) for span in spans for name in span.members}
+    names = [o.name for o in orbits]
+    return spans + [
+        Span(root, EdgeType.P, (name,))
+        for root in range(1, rank + 1)
+        for name in names
+        if (root, name) not in covered
+    ]
 
 
-# -- ordered pairs of isotropic subspaces ---------------------------------------
+def _add_lowers(orbits: list[Orbit], names: tuple[str, ...], dim: int | None) -> tuple[str, ...]:
+    """Register lower orbits of dimension ``dim``; returns their names for a span."""
+    orbits.extend(Orbit(name=name, dim=dim) for name in names)
+    return names
+
+
+# -- pairs of transversal isotropic subspaces -------------------------------------
 
 
 def _ladder_block(
-    n: int,
-    prefixes: tuple[str, ...],
-    spans_by_root: dict[int, list[Span]],
-    orbits: list[Orbit],
-    short_root_types: str,
-) -> None:
-    """One diagram component: open orbit(s) with their U-partners and lowers.
+    n: int, prefixes: tuple[str, ...], spans: list[Span], orbits: list[Orbit]
+) -> tuple[str, ...]:
+    """One diagram component at the long roots; returns its open orbits.
 
-    ``short_root_types`` selects the behavior at the short root n:
-    "T2" (ordered pairs: two opens, two lowers, partners of the last long
-    root carry T1) or "N" (unordered pairs: N2 on an open pair or N1 on a
-    single open, N1 on the last partners).
+    Each open orbit O<p> has a U-partner O<p>_i at every long root i, and
+    each partner O<p>_i with i < n - 1 is fixed by the next long reflection:
+    T1 at root i + 1.  The caller adds the spans at the short root n.
     """
-    opens = [f"O{p}" for p in prefixes]
-    base_dim = n
-    for name in opens:
-        orbits.append(Orbit(name=name, is_open=True, is_max_rank=True, dim=base_dim))
+    opens = tuple(f"O{p}" for p in prefixes)
+    orbits.extend(Orbit(name=name, is_open=True, is_max_rank=True, dim=n) for name in opens)
     for p in prefixes:
         for i in range(1, n):
-            orbits.append(Orbit(name=f"O{p}_{i}", is_max_rank=True, dim=base_dim - 1))
-
-    # U-spans at the long roots.
-    for p in prefixes:
-        for i in range(1, n):
-            spans_by_root.setdefault(i, []).append(
-                Span(
-                    root=i,
-                    type=EdgeType.U,
-                    open_orbits=(f"O{p}",),
-                    lower_orbits=(f"O{p}_{i}",),
-                )
+            partner = f"O{p}_{i}"
+            orbits.append(Orbit(name=partner, is_max_rank=True, dim=n - 1))
+            spans.append(
+                Span(root=i, type=EdgeType.U, open_orbits=(f"O{p}",), lower_orbits=(partner,))
             )
-    # Each partner O_i is fixed by the next reflection: T1 at root i+1 < n.
-    for p in prefixes:
-        for i in range(1, n - 1):
-            lows = (f"O{p}_{i}^+", f"O{p}_{i}^-")
-            for low in lows:
-                orbits.append(Orbit(name=low, dim=base_dim - 2))
-            spans_by_root.setdefault(i + 1, []).append(
-                Span(
-                    root=i + 1,
-                    type=EdgeType.T1,
-                    open_orbits=(f"O{p}_{i}",),
-                    lower_orbits=lows,
+            if i < n - 1:
+                lows = _add_lowers(orbits, (f"{partner}^+", f"{partner}^-"), n - 2)
+                spans.append(
+                    Span(root=i + 1, type=EdgeType.T1, open_orbits=(partner,), lower_orbits=lows)
                 )
-            )
-
-    if short_root_types == "T2":
-        lows = (f"O{prefixes[0]}_{n}^+", f"O{prefixes[0]}_{n}^-")
-        for low in lows:
-            orbits.append(Orbit(name=low, dim=base_dim - 1))
-        spans_by_root.setdefault(n, []).append(
-            Span(root=n, type=EdgeType.T2, open_orbits=tuple(opens), lower_orbits=lows)
-        )
-        for p in prefixes:
-            t1_lows = (f"O{p}_{n - 1}^+", f"O{p}_{n - 1}^-")
-            for low in t1_lows:
-                orbits.append(Orbit(name=low, dim=base_dim - 2))
-            spans_by_root.setdefault(n, []).append(
-                Span(
-                    root=n,
-                    type=EdgeType.T1,
-                    open_orbits=(f"O{p}_{n - 1}",),
-                    lower_orbits=t1_lows,
-                )
-            )
-    else:
-        low = f"O{prefixes[0]}_{n}"
-        orbits.append(Orbit(name=low, dim=base_dim - 1))
-        if len(opens) == 2:
-            edge = EdgeType.N2
-        else:
-            edge = EdgeType.N1
-        spans_by_root.setdefault(n, []).append(
-            Span(root=n, type=edge, open_orbits=tuple(opens), lower_orbits=(low,))
-        )
-        for p in prefixes:
-            n1_low = f"O{p}_{n - 1}^0"
-            orbits.append(Orbit(name=n1_low, dim=base_dim - 2))
-            spans_by_root.setdefault(n, []).append(
-                Span(
-                    root=n,
-                    type=EdgeType.N1,
-                    open_orbits=(f"O{p}_{n - 1}",),
-                    lower_orbits=(n1_low,),
-                )
-            )
+    return opens
 
 
 def build_ordered_pairs(n: int) -> tuple[SphericalDatum, ReflectionTable]:
-    """Ordered transversal pairs: two open orbits exchanged by the short root."""
+    """Ordered transversal pairs: two open orbits exchanged by the short root.
+
+    At the short root the two opens form a T2 span over two lowers, and each
+    last partner carries T1.
+    """
     if n < 2:
         raise ValueError("ordered_pairs needs n >= 2")
     cartan = CartanSpec.from_type("B", n)
@@ -230,14 +179,25 @@ def build_ordered_pairs(n: int) -> tuple[SphericalDatum, ReflectionTable]:
     )
 
     orbits: list[Orbit] = []
-    spans_by_root: dict[int, list[Span]] = {}
-    _ladder_block(n, ("", "'"), spans_by_root, orbits, short_root_types="T2")
-    spans = _complete_with_singletons([o.name for o in orbits], spans_by_root, n)
+    spans: list[Span] = []
+    prefixes = ("", "'")
+    opens = _ladder_block(n, prefixes, spans, orbits)
+    lows = _add_lowers(orbits, (f"O_{n}^+", f"O_{n}^-"), n - 1)
+    spans.append(Span(root=n, type=EdgeType.T2, open_orbits=opens, lower_orbits=lows))
+    for p in prefixes:
+        partner = f"O{p}_{n - 1}"
+        lows = _add_lowers(orbits, (f"{partner}^+", f"{partner}^-"), n - 2)
+        spans.append(Span(root=n, type=EdgeType.T1, open_orbits=(partner,), lower_orbits=lows))
+    spans = _complete_with_singletons(orbits, spans, n)
     return datum, ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
 
 
 def build_unordered_pairs(n: int) -> tuple[SphericalDatum, ReflectionTable]:
-    """Unordered transversal pairs: index-4 weight lattice, 4 or 2 open orbits."""
+    """Unordered transversal pairs: index-4 weight lattice, 4 or 2 open orbits.
+
+    At the short root each block's opens form an N2 span over one lower (N1
+    when the block has a single open), and each last partner carries N1.
+    """
     if n < 2:
         raise ValueError("unordered_pairs needs n >= 2")
     cartan = CartanSpec.from_type("B", n)
@@ -263,10 +223,17 @@ def build_unordered_pairs(n: int) -> tuple[SphericalDatum, ReflectionTable]:
     blocks = (("", "'"), ("''", "'''")) if open_count == 4 else (("",), ("''",))
 
     orbits: list[Orbit] = []
-    spans_by_root: dict[int, list[Span]] = {}
+    spans: list[Span] = []
     for prefixes in blocks:
-        _ladder_block(n, prefixes, spans_by_root, orbits, short_root_types="N")
-    spans = _complete_with_singletons([o.name for o in orbits], spans_by_root, n)
+        opens = _ladder_block(n, prefixes, spans, orbits)
+        edge = EdgeType.N2 if len(opens) == 2 else EdgeType.N1
+        lows = _add_lowers(orbits, (f"{opens[0]}_{n}",), n - 1)
+        spans.append(Span(root=n, type=edge, open_orbits=opens, lower_orbits=lows))
+        for p in prefixes:
+            partner = f"O{p}_{n - 1}"
+            lows = _add_lowers(orbits, (f"{partner}^0",), n - 2)
+            spans.append(Span(root=n, type=EdgeType.N1, open_orbits=(partner,), lower_orbits=lows))
+    spans = _complete_with_singletons(orbits, spans, n)
     return datum, ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
 
 
@@ -285,20 +252,17 @@ def build_torus_counterexample(cartan: CartanSpec) -> ReflectionTable:
     check_orbit_count(2**l * (l + 1), f"torus counterexample of rank {l}")
     tuples = ["".join(t) for t in itertools.product("+-", repeat=l)]
     orbits = [Orbit(name=t, is_open=True, is_max_rank=True) for t in tuples]
-    spans_by_root: dict[int, list[Span]] = {}
+    spans: list[Span] = []
     for i in range(1, l + 1):
         for t in tuples:
             flipped = t[: i - 1] + ("-" if t[i - 1] == "+" else "+") + t[i:]
             if flipped < t:
                 continue
-            rep = t
-            lows = (f"{rep}:s{i}:a", f"{rep}:s{i}:b")
-            for low in lows:
-                orbits.append(Orbit(name=low))
-            spans_by_root.setdefault(i, []).append(
+            lows = _add_lowers(orbits, (f"{t}:s{i}:a", f"{t}:s{i}:b"), None)
+            spans.append(
                 Span(root=i, type=EdgeType.T2, open_orbits=(t, flipped), lower_orbits=lows)
             )
-    spans = _complete_with_singletons([o.name for o in orbits], spans_by_root, l)
+    spans = _complete_with_singletons(orbits, spans, l)
     return ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
 
 

@@ -110,11 +110,9 @@ def _cmd_snf(args) -> int:
     if args.format == "json":
         _emit_json(snf.to_json())
     else:
-        print("d:", " ".join(str(x) for x in snf.d))
-        print("u:")
-        print(_matrix_text(snf.u))
-        print("v:")
-        print(_matrix_text(snf.v))
+        # Built whole before writing: an entry too long to print leaves stdout empty.
+        d = " ".join(str(x) for x in snf.d)
+        sys.stdout.write(f"d: {d}\nu:\n{_matrix_text(snf.u)}\nv:\n{_matrix_text(snf.v)}\n")
     return 0
 
 

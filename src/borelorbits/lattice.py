@@ -8,9 +8,12 @@ coordinates sitting at the even divisors.
 
 Everything here is exact.  Matrices carry arbitrary-precision Python
 integers; there is no floating point and no modular arithmetic.  One
-elimination, ``_diagonalize``, serves every caller: ``smith_normal_form``
-hands it the unimodular transforms to update, while ``elementary_divisors``
-and ``IntegerMatrix.rank`` only need the diagonal and run it without them.
+elimination, ``_diagonalize``, serves every caller and runs one path: it
+reduces the leading block of a matrix, and whatever lies right of or below
+that block rides along with the row and column operations.  Only
+``smith_normal_form`` puts something there: an identity to the right of M,
+which becomes u, and one below M, which becomes v.  ``elementary_divisors``
+and ``IntegerMatrix.rank`` pass the bare matrix.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ class IntegerMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals: the nonzero Smith diagonal, without transforms."""
-        return sum(1 for d in _diagonalize([list(r) for r in self.entries]) if d != 0)
+        diag = _diagonalize([list(r) for r in self.entries], self.rows, self.cols)
+        return sum(1 for d in diag if d != 0)
 
     def to_json(self) -> dict:
         return {
@@ -181,65 +185,40 @@ def _det_bareiss(a: list[list[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def _diagonalize(
-    a: list[list[int]],
-    u: list[list[int]] | None = None,
-    v: list[list[int]] | None = None,
-) -> list[int]:
-    """Reduce ``a`` in place to Smith diagonal form and return the diagonal.
+def _diagonalize(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
+    """Reduce the leading ``nrows`` x ``ncols`` block of ``a`` to Smith form, in place.
 
-    The transforms ride along only when given: every row operation on ``a``
-    is also applied to ``u`` and every column operation to ``v``, so passing
-    identity matrices leaves u @ a_original @ v equal to the diagonal matrix.
-    Without them the elimination does the same steps on ``a`` alone.
-    Pivoting picks the smallest nonzero entry in absolute value, the first
-    in row-major order, so the transforms are reproducible.
+    Returns the diagonal of the reduced block.  Pivots and quotients are
+    read from the block alone, but row operations act on whole rows and
+    column operations on whole columns.  Entries to the right of the block
+    or below it therefore ride along as extra columns and rows: an identity
+    appended to the right ends up as u and one appended below ends up as v,
+    with u @ block_original @ v equal to the diagonal matrix.  Rows below
+    the block may be shorter than the rows of the block, but must reach its
+    last column.  Pivoting picks the smallest nonzero entry in absolute
+    value, the first in row-major order, so the transforms are reproducible.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
         # row[dst] += q * row[src]
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
         for row in a:
             row[dst] += q * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     def pivot_at(t):
-        """Smallest-|value| nonzero entry of the trailing submatrix, row-major tie-break."""
+        """Smallest-|value| nonzero entry of the trailing block, row-major tie-break."""
         best, best_row = 0, None
         for i in range(t, nrows):
-            low = min(map(abs, filter(None, a[i][t:])), default=0)
+            low = min(map(abs, filter(None, a[i][t:ncols])), default=0)
             if low and (best_row is None or low < best):
                 best, best_row = low, i
                 if low == 1:
                     break
         if best_row is None:
             return None
-        return best_row, t + list(map(abs, a[best_row][t:])).index(best)
+        return best_row, t + list(map(abs, a[best_row][t:ncols])).index(best)
 
     t = 0
     while t < min(nrows, ncols):
@@ -249,11 +228,12 @@ def _diagonalize(
         while True:
             i, j = pos
             if i != t:
-                swap_rows(t, i)
+                a[t], a[i] = a[i], a[t]
             if j != t:
-                swap_cols(t, j)
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
             clean = True
             for i in range(t + 1, nrows):
@@ -303,14 +283,16 @@ def smith_normal_form(matrix: IntegerMatrix) -> SnfDecomposition:
     d_i | d_{i+1}.  The diagonal is unique; the transforms are deterministic
     for a given input.
     """
+    rows, cols = matrix.rows, matrix.cols
     a = _nonempty_rows(matrix)
-    u = [[1 if i == j else 0 for j in range(matrix.rows)] for i in range(matrix.rows)]
-    v = [[1 if i == j else 0 for j in range(matrix.cols)] for i in range(matrix.cols)]
-    diag = _diagonalize(a, u, v)
+    for i, row in enumerate(a):
+        row.extend(1 if i == j else 0 for j in range(rows))
+    a.extend([1 if i == j else 0 for j in range(cols)] for i in range(cols))
+    diag = _diagonalize(a, rows, cols)
     return SnfDecomposition(
         d=DivisorList(tuple(diag)),
-        u=IntegerMatrix.from_rows(u),
-        v=IntegerMatrix.from_rows(v),
+        u=IntegerMatrix.from_rows(row[cols:] for row in a[:rows]),
+        v=IntegerMatrix.from_rows(a[rows:]),
     )
 
 
@@ -319,9 +301,10 @@ def elementary_divisors(sublattice_basis: IntegerMatrix) -> DivisorList:
 
     The rows must be linearly independent over the rationals; a rank-deficient
     input is rejected rather than silently saturated.  Only the diagonal is
-    computed: the elimination runs without transforms.
+    computed: the elimination runs on the bare matrix.
     """
-    divisors = tuple(_diagonalize(_nonempty_rows(sublattice_basis)))
+    a = _nonempty_rows(sublattice_basis)
+    divisors = tuple(_diagonalize(a, sublattice_basis.rows, sublattice_basis.cols))
     rank = sum(1 for d in divisors if d != 0)
     if rank < sublattice_basis.rows:
         raise ValueError(

@@ -618,18 +618,21 @@ class ReflectionTable:
         return cls(orbits=orbits, cartan=CartanSpec.from_json(cartan_obj), spans=spans)
 
     def to_dot(self) -> str:
-        """Deterministic Graphviz rendering: open orbits doubled, loops omitted."""
+        """Deterministic Graphviz rendering: open orbits doubled, loops omitted.
+
+        Edges are the moves of each reflection, by root and then by the
+        smaller orbit; index order is name order, so they come out sorted.
+        """
         lines = ["graph orbits {"]
         for o in self.orbits:
             shape = "doublecircle" if o.is_open else "circle"
             lines.append(f'  "{o.name}" [shape={shape}];')
-        edges = []
-        for root in sorted(self.spans):
-            for span in self.spans[root]:
-                for a, b in span.moves():
-                    lo, hi = min(a, b), max(a, b)
-                    edges.append((root, lo, hi, span.type.value))
-        for root, lo, hi, type_name in sorted(edges):
-            lines.append(f'  "{lo}" -- "{hi}" [label="s{root}:{type_name}"];')
+        names = self._names
+        for root, perm in self._reflections.items():
+            cell = self._span_at[root]
+            for k, image in enumerate(perm):
+                if image > k:
+                    label = f"s{root}:{cell[k].type.value}"
+                    lines.append(f'  "{names[k]}" -- "{names[image]}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -45,7 +45,7 @@ import weakref
 from dataclasses import dataclass
 
 from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count
-from .rootdata import CartanSpec
+from .rootdata import CartanSpec, check_rank
 
 ZERO = "0"
 PLUS = "+"
@@ -280,8 +280,15 @@ def _matchings(points: tuple[int, ...]):
 
 
 def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPattern]:
-    """All patterns with n positions and rank r, in lexicographic order."""
+    """All patterns with n positions and rank r, in lexicographic order.
+
+    The shape is refused before anything is allocated when it has too many
+    patterns, or when its table's Cartan rank n - 1 is over the rank limit.
+    """
     check_orbit_count(pattern_count(n, r, signed), f"patterns n={n} r={r}")
+    check_rank(n - 1)
+    # Complex singles are bare dots: one choice per single position.
+    singles_choices = _SIGNS if signed else (DOT,)
     out = []
     for active in itertools.combinations(range(1, n + 1), r):
         for arc_count in range(0, r // 2 + 1):
@@ -290,25 +297,19 @@ def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPatter
                 for arcs in _matchings(arc_positions):
                     # _matchings pairs off the smallest remaining point first,
                     # so each arc tuple comes out canonically sorted.
-                    if signed:
-                        for signs in itertools.product(_SIGNS, repeat=len(singles)):
-                            entries = [ZERO] * n
-                            for p in arc_positions:
-                                entries[p - 1] = DOT
-                            for p, s in zip(singles, signs):
-                                entries[p - 1] = s
-                            out.append(SignedPattern._unchecked(tuple(entries), arcs))
-                    else:
+                    for signs in itertools.product(singles_choices, repeat=len(singles)):
                         entries = [ZERO] * n
-                        for p in active:
+                        for p in arc_positions:
                             entries[p - 1] = DOT
+                        for p, s in zip(singles, signs):
+                            entries[p - 1] = s
                         out.append(SignedPattern._unchecked(tuple(entries), arcs))
     out.sort(key=SignedPattern.sort_key)
     return out
 
 
-def _build(n: int, r: int, signed: bool) -> ReflectionTable:
-    """Assemble the pattern table in one pass over (pattern, root) cells.
+def _build(n: int, r: int, patterns: list[SignedPattern]) -> ReflectionTable:
+    """Assemble the table of ``patterns``, of rank r, in one pass over (pattern, root) cells.
 
     :func:`classify_cell` types each cell, and each span is emitted exactly
     once, from a canonical member: the single orbit for P/N0, the (+,-) open
@@ -336,7 +337,7 @@ def _build(n: int, r: int, signed: bool) -> ReflectionTable:
     spans: list[Span] = []
     classify, add, make_span = classify_cell, spans.append, Span
     type_u, type_n2 = EdgeType.U, EdgeType.N2
-    for p in enumerate_patterns(n, r, signed=signed):
+    for p in patterns:
         arcs = p.arcs
         name = "".join(p.entries) + suffix(arcs)
         orbits.append(Orbit(name, not arcs and ZERO not in p.entries[:r], not arcs))
@@ -376,6 +377,9 @@ def _build(n: int, r: int, signed: bool) -> ReflectionTable:
                     add(make_span(i, edge, (name, name[:i0] + y + x + name[i0 + 2 :]), (lower,)))
             else:  # P and N0: the orbit alone
                 add(make_span(i, edge, (name,)))
+    # This frame holds the only reference: the patterns are freed before the
+    # constructor reaches its peak.
+    del patterns
     return ReflectionTable(orbits, CartanSpec.from_type("A", n - 1), spans)
 
 
@@ -388,7 +392,8 @@ def _table(n: int, r: int, signed: bool) -> ReflectionTable:
     _check_shape(n, r)
     table = _TABLES.get((n, r, signed))
     if table is None:
-        table = _TABLES[n, r, signed] = _build(n, r, signed)
+        # Enumerating first refuses an oversized shape before the build starts.
+        table = _TABLES[n, r, signed] = _build(n, r, enumerate_patterns(n, r, signed))
     return table
 
 

@@ -24,12 +24,12 @@ from .lattice import IntegerMatrix
 _COXETER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 # Cartan specs refuse, before building or validating the rank x rank matrix,
-# ranks above this: the largest catalog family in use (unordered pairs,
-# n = 200) fits.
+# ranks above this, and pattern enumeration refuses n - 1 above it: the
+# largest catalog family in use (unordered pairs, n = 200) fits.
 MAX_RANK = 200
 
 
-def _check_rank(rank: int) -> None:
+def check_rank(rank: int) -> None:
     if rank > MAX_RANK:
         raise ValueError(f"Cartan rank {rank} is over the rank limit {MAX_RANK}")
 
@@ -114,7 +114,7 @@ class CartanSpec:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        _check_rank(len(self.matrix))
+        check_rank(len(self.matrix))
         object.__setattr__(
             self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
         )
@@ -123,7 +123,7 @@ class CartanSpec:
     @classmethod
     def from_type(cls, letter: str, rank: int) -> "CartanSpec":
         letter = letter.upper()
-        _check_rank(rank)
+        check_rank(rank)
         return cls(tuple(map(tuple, _build_cartan(letter, rank))), label=f"{letter}{rank}")
 
     @classmethod

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_orbits import random_tables
 
-from borelorbits import EdgeType, IntegerMatrix, ReflectionTable, rootdata
+from borelorbits import EdgeType, IntegerMatrix, ReflectionTable, SignedPattern, patterns, rootdata
 from borelorbits.cli import main
 
 
@@ -42,6 +43,23 @@ def test_snf_text_format(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "snf", "--matrix", str(path))
     assert code == 0
     assert out.splitlines()[0] == "d: 2 4"
+
+
+def test_snf_text_prints_all_or_nothing(capsys, monkeypatch):
+    # The transforms of this matrix grow past the interpreter's int-to-str
+    # digit limit; whichever way the command ends, no partial text is left.
+    rng = random.Random(48)
+    rows = [[rng.randint(-50, 50) for _ in range(48)] for _ in range(48)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"entries": rows})))
+    code, out, err = run_cli(capsys, "snf", "--matrix", "-")
+    if code == 0:
+        lines = out.splitlines()
+        assert err == "" and len(lines) == 3 + 48 + 48
+        assert lines[0].startswith("d: ") and lines[1] == "u:" and lines[50] == "v:"
+    else:
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert isinstance(json.loads(err)["error"]["message"], str)
 
 
 def test_divisors_from_stdin(capsys, monkeypatch):
@@ -368,14 +386,26 @@ def test_table_cartan_over_the_rank_limit(capsys, monkeypatch, cartan):
     [
         ("braid-check", "--example", "torus", "--cartan", "A3"),
         ("example", "ordered_pairs", "--n", "3"),
+        ("patterns", "--n", "4", "--r", "0"),
     ],
-    ids=["cartan-label", "catalog-n"],
+    ids=["cartan-label", "catalog-n", "patterns-n"],
 )
 def test_cli_refuses_ranks_over_the_limit(capsys, monkeypatch, argv):
     monkeypatch.setattr(rootdata, "MAX_RANK", 2)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["message"] == "Cartan rank 3 is over the rank limit 2"
+
+
+def test_sylvester_refuses_an_oversized_rank_before_building(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("the table build started")
+
+    monkeypatch.setattr(patterns, "_build", build)
+    code, out, err = run_cli(capsys, "sylvester", "--n", "10000000", "--r", "0")
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message == "Cartan rank 9999999 is over the rank limit 200"
 
 
 def test_outputs_conform_to_published_schemas(tmp_path, capsys):
@@ -507,21 +537,97 @@ def _run_on_stdin(argv, text):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_clean_exit(code, out, err):
+    if code == 1:
+        assert out == ""
+        assert err.count("\n") == 1
+        assert isinstance(json.loads(err)["error"]["message"], str)
+    else:
+        assert code == 0 and err == ""
+
+
 @settings(max_examples=300, deadline=None)
 @given(obj=_shaped_tables | _mutated_tables())
 def test_table_readers_accept_or_refuse_cleanly(obj):
     text = json.dumps(obj)
     for argv in (["orbits", "--table", "-"], ["braid-check", "--table", "-"]):
         code, out, err = _run_on_stdin(argv, text)
-        if code == 1:
-            assert out == ""
-            assert err.count("\n") == 1
-            assert isinstance(json.loads(err)["error"]["message"], str)
-        else:
-            assert code == 0 and err == ""
+        _assert_clean_exit(code, out, err)
     if code == 0:
         table = ReflectionTable.from_json(obj)
         assert ReflectionTable.from_json(table.to_json()).to_json() == table.to_json()
         for root in range(1, table.cartan.rank + 1):
             perm = table.reflection_permutation(root)
             assert all(perm[perm[name]] == name for name in table.orbit_names)
+
+
+# Matrices stay at 6x6 or smaller, so every accepted one prints quickly.
+_small_ints = st.integers(-(10**6), 10**6)
+_matrix_rows = st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(_small_ints, min_size=width, max_size=width), max_size=6)
+)
+_ragged_rows = st.lists(st.lists(_small_ints | _leaves, max_size=6), max_size=6)
+_shaped_matrices = (
+    st.fixed_dictionaries(
+        {"entries": _matrix_rows | _ragged_rows | _leaves},
+        optional={"rows": st.integers(0, 7) | _leaves, "cols": st.integers(0, 7) | _leaves},
+    )
+    | _leaves
+)
+
+
+@st.composite
+def _mutated_matrices(draw):
+    """Valid matrix JSON, sometimes with one entry, row or field changed."""
+    rows = draw(_matrix_rows)
+    obj = {"rows": len(rows), "cols": len(rows[0]) if rows else 0, "entries": rows}
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_leaves)
+        else:
+            rows[i] = draw(st.lists(_small_ints, max_size=7) | _leaves)
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from(("rows", "cols", "entries")))] = draw(_leaves | st.integers(0, 7))
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_shaped_matrices | _mutated_matrices())
+def test_matrix_readers_accept_or_refuse_cleanly(obj):
+    text = json.dumps(obj)
+    for command in ("snf", "divisors"):
+        for fmt in ("text", "json"):
+            _assert_clean_exit(*_run_on_stdin([command, "--matrix", "-", "--format", fmt], text))
+
+
+@st.composite
+def _mutated_cartans(draw):
+    """Valid Cartan JSON, by type or explicit matrix, sometimes with one value changed."""
+    spec = rootdata.CartanSpec.from_label(draw(st.sampled_from(("A1", "A3", "B2", "C3", "D4", "G2"))))
+    obj = spec.to_json()
+    if draw(st.booleans()):
+        obj = {"cartan": [list(row) for row in spec.matrix]}
+        if draw(st.booleans()):
+            row = draw(st.integers(0, spec.rank - 1))
+            obj["cartan"][row][draw(st.integers(0, spec.rank - 1))] = draw(_leaves)
+    elif draw(st.booleans()):
+        obj[draw(st.sampled_from(sorted(obj) + ["cartan"]))] = draw(_leaves)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_cartans | _mutated_cartans())
+def test_cartan_reader_accepts_or_refuses_cleanly(obj):
+    argv = ["braid-check", "--example", "torus", "--cartan", "-", "--format", "json"]
+    _assert_clean_exit(*_run_on_stdin(argv, json.dumps(obj)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text() | st.text("0+-• [],123456789", max_size=16))
+def test_pattern_text_reader_accepts_or_refuses_cleanly(text):
+    try:
+        pattern = SignedPattern.from_text(text)
+    except ValueError:
+        return
+    assert SignedPattern.from_text(pattern.to_text()) == pattern

@@ -7,8 +7,11 @@ refactors leave CLI output unchanged.  The runs with a nonzero exit status,
 the catalog commands and the reflection digest were recorded before the
 table moved to integer orbit indices.  The lattice digests (``snf`` and
 ``divisors``) were recorded before the elimination made its transforms
-optional, and pin u and v byte for byte.  A deliberate output change
-updates the digest here and says why in the change log.
+optional, and pin u and v byte for byte.  The four-open ``unordered_pairs``
+JSON, the ``unordered_pairs`` DOT and the torus and G2 JSON were recorded
+before the catalog builders handed their spans over as one flat list.  A
+deliberate output change updates the digest here and says why in the change
+log.
 """
 
 import hashlib
@@ -48,6 +51,10 @@ GOLDEN_CLI = {
     "example unordered_pairs --n 5": "df1b82b104f7e0e61f5a1bdd9053ff18149b4c0064b175834a8cd5734f69c2e5",
     "orbits --example ordered_pairs --n 6": "38017475959b85ebcde01e0944dd6688a60e5c599f99a2e6ffcb2e42a7d6b871",
     "braid-check --example g2 --format json": "0373dcaafc3eaf2571ca20b727dbdca1af6e7de68e032e2655a1d41d6e7ab5da",
+    "example unordered_pairs --n 4": "675ca3984f28e98a31aa235ff1f59ffed2d3bd7dbd03c5bcd60e2e1b724d0d8e",
+    "example unordered_pairs --n 7 --emit dot": "2788fbb4682079be605d3359ded3751f3553851046cc403d6490ce853e94749a",
+    "example torus_counterexample --cartan B3": "e403f39181f6779ad3d5fa313f07f78c45d8bd658fe12cb716c81c11c87545e9",
+    "example g2": "3cea23582f129763b375c692ff3cbd0c84ef781bfc516844fdd2285893dfbb0f",
 }
 
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output
