@@ -57,34 +57,11 @@ from .rootdata import CartanSpec, SphericalDatum
 __version__ = "0.1.0"
 
 __all__ = [
-    "BraidPair",
-    "BraidReport",
-    "CartanSpec",
-    "CatalogExample",
-    "DivisorList",
-    "EdgeType",
-    "ExampleSpec",
-    "IntegerMatrix",
-    "Orbit",
-    "ReflectionTable",
-    "SignedPattern",
-    "SnfDecomposition",
-    "Span",
-    "SphericalDatum",
-    "SylvesterClass",
-    "TypeCensus",
-    "build_complex_table",
-    "build_example",
-    "build_g2_case",
-    "build_ordered_pairs",
-    "build_table",
-    "build_torus_counterexample",
-    "build_unordered_pairs",
-    "count_open_real_orbits",
-    "elementary_divisors",
-    "enumerate_patterns",
-    "pattern_count",
-    "sign_coordinates",
-    "smith_normal_form",
-    "sylvester_classes",
+    "BraidPair", "BraidReport", "CartanSpec", "CatalogExample", "DivisorList", "EdgeType",
+    "ExampleSpec", "IntegerMatrix", "Orbit", "ReflectionTable", "SignedPattern",
+    "SnfDecomposition", "Span", "SphericalDatum", "SylvesterClass", "TypeCensus",
+    "build_complex_table", "build_example", "build_g2_case", "build_ordered_pairs", "build_table",
+    "build_torus_counterexample", "build_unordered_pairs", "count_open_real_orbits",
+    "elementary_divisors", "enumerate_patterns", "pattern_count", "sign_coordinates",
+    "smith_normal_form", "sylvester_classes",
 ]

@@ -79,15 +79,11 @@ def canonical_example_name(name: str) -> str:
 
 def build_example(spec: ExampleSpec) -> CatalogExample:
     name = canonical_example_name(spec.name)
-    if name == "ordered_pairs":
+    if name in ("ordered_pairs", "unordered_pairs"):
         if spec.n is None:
-            raise ValueError("ordered_pairs needs the size parameter n")
-        datum, table = build_ordered_pairs(spec.n)
-        return CatalogExample(name=name, table=table, datum=datum)
-    if name == "unordered_pairs":
-        if spec.n is None:
-            raise ValueError("unordered_pairs needs the size parameter n")
-        datum, table = build_unordered_pairs(spec.n)
+            raise ValueError(f"{name} needs the size parameter n")
+        build = build_ordered_pairs if name == "ordered_pairs" else build_unordered_pairs
+        datum, table = build(spec.n)
         return CatalogExample(name=name, table=table, datum=datum)
     if name == "torus_counterexample":
         if spec.cartan is None:
@@ -148,14 +144,10 @@ def _ladder_block(
         for i in range(1, n):
             partner = f"O{p}_{i}"
             orbits.append(Orbit(name=partner, is_max_rank=True, dim=n - 1))
-            spans.append(
-                Span(root=i, type=EdgeType.U, open_orbits=(f"O{p}",), lower_orbits=(partner,))
-            )
+            spans.append(Span(i, EdgeType.U, (f"O{p}",), (partner,)))
             if i < n - 1:
                 lows = _add_lowers(orbits, (f"{partner}^+", f"{partner}^-"), n - 2)
-                spans.append(
-                    Span(root=i + 1, type=EdgeType.T1, open_orbits=(partner,), lower_orbits=lows)
-                )
+                spans.append(Span(i + 1, EdgeType.T1, (partner,), lows))
     return opens
 
 
@@ -259,9 +251,7 @@ def build_torus_counterexample(cartan: CartanSpec) -> ReflectionTable:
             if flipped < t:
                 continue
             lows = _add_lowers(orbits, (f"{t}:s{i}:a", f"{t}:s{i}:b"), None)
-            spans.append(
-                Span(root=i, type=EdgeType.T2, open_orbits=(t, flipped), lower_orbits=lows)
-            )
+            spans.append(Span(i, EdgeType.T2, (t, flipped), lows))
     spans = _complete_with_singletons(orbits, spans, l)
     return ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
 

@@ -54,10 +54,20 @@ def _parse_cartan(text: str) -> CartanSpec:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """The integers of a comma-separated list; empty items are skipped, but one must remain.
+
+    argparse hands over ``--option=--`` as an empty list, which names none.
+    """
+    text = text if isinstance(text, str) else ""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        # The echo is cut short: the text may be any length.
+        shown = text if len(text) <= 60 else text[:60] + "..."
+        raise ValueError(f"expected a comma-separated integer list, got {shown!r}")
+    return values
 
 
 def _emit_json(obj) -> None:
@@ -80,22 +90,15 @@ def _load_table(args) -> ReflectionTable:
             if args.n is None or args.r is None:
                 raise ValueError("example 'quadratic' needs --n and --r")
             return build_table(args.n, args.r)
-        spec = ExampleSpec(
-            name=name,
-            n=args.n,
-            cartan=_parse_cartan(args.cartan) if args.cartan else None,
-        )
-        return build_example(spec).table
+        cartan = _parse_cartan(args.cartan) if args.cartan else None
+        return build_example(ExampleSpec(name, args.n, cartan)).table
     raise ValueError("provide a table via --table FILE or --example NAME")
 
 
 def _add_table_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--table", help="reflection table JSON file, or - for stdin")
-    parser.add_argument(
-        "--example",
-        help="catalog example name (ordered_pairs, unordered_pairs, "
-        "torus_counterexample, g2_case, quadratic)",
-    )
+    names = "ordered_pairs, unordered_pairs, torus_counterexample, g2_case, quadratic"
+    parser.add_argument("--example", help=f"catalog example name ({names})")
     parser.add_argument("--n", type=int, help="size parameter for the example")
     parser.add_argument("--r", type=int, help="rank parameter (quadratic example)")
     parser.add_argument("--cartan", help="Cartan label like A2, or a JSON file/-")
@@ -117,8 +120,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_divisors(args) -> int:
-    matrix = IntegerMatrix.from_json(_read_json(args.matrix))
-    divisors = elementary_divisors(matrix)
+    divisors = elementary_divisors(IntegerMatrix.from_json(_read_json(args.matrix)))
     if args.format == "json":
         _emit_json({"divisors": list(divisors)})
     else:
@@ -130,49 +132,28 @@ def _cmd_count_open(args) -> int:
     divisors = _parse_int_list(args.divisors)
     count = count_open_real_orbits(divisors)
     if args.format == "json":
-        _emit_json(
-            {
-                "divisors": divisors,
-                "count": count,
-                "sign_coordinates": list(sign_coordinates(divisors)),
-            }
-        )
+        coordinates = list(sign_coordinates(divisors))
+        _emit_json({"divisors": divisors, "count": count, "sign_coordinates": coordinates})
     else:
         print(count)
     return 0
 
 
 def _cmd_patterns(args) -> int:
-    pats = enumerate_patterns(args.n, args.r, signed=not args.complex)
+    texts = [p.to_text() for p in enumerate_patterns(args.n, args.r, signed=not args.complex)]
     if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "r": args.r,
-                "signed": not args.complex,
-                "count": len(pats),
-                "patterns": [p.to_text() for p in pats],
-            }
-        )
+        shape = {"n": args.n, "r": args.r, "signed": not args.complex}
+        _emit_json({**shape, "count": len(texts), "patterns": texts})
     else:
-        for p in pats:
-            print(p.to_text())
+        sys.stdout.write("".join(text + "\n" for text in texts))
     return 0
 
 
 def _cmd_sylvester(args) -> int:
     classes = sylvester_classes(args.n, args.r)
     if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "r": args.r,
-                "classes": [
-                    {"plus": c.plus, "minus": c.minus, "orbits": list(c.orbits)}
-                    for c in classes
-                ],
-            }
-        )
+        blocks = [{"plus": c.plus, "minus": c.minus, "orbits": list(c.orbits)} for c in classes]
+        _emit_json({"n": args.n, "r": args.r, "classes": blocks})
     else:
         for c in classes:
             print(f"({c.plus},{c.minus}):", " ".join(c.orbits))
@@ -182,7 +163,7 @@ def _cmd_sylvester(args) -> int:
 def _cmd_braid_check(args) -> int:
     table = _load_table(args)
     restrict = table.open_orbit_names if args.open_only else None
-    generators = _parse_int_list(args.generators) if args.generators else None
+    generators = None if args.generators is None else _parse_int_list(args.generators)
     report = table.check_braid(restrict_to=restrict, generators=generators)
     if args.format == "json":
         _emit_json(report.to_json())
@@ -191,14 +172,12 @@ def _cmd_braid_check(args) -> int:
             status = "ok" if pair.holds else f"FAIL witness={pair.witness}"
             print(f"s{pair.i},s{pair.j}: m={pair.exponent} {status}")
         print("braid relations hold" if report.holds else "braid relations fail")
-    if args.strict and not report.holds:
-        return 2
-    return 0
+    return 2 if args.strict and not report.holds else 0
 
 
 def _cmd_orbits(args) -> int:
     table = _load_table(args)
-    if args.generators:
+    if args.generators is not None:
         generators = _parse_int_list(args.generators)
         domain = table.open_orbit_names if args.domain == "open" else table.orbit_names
         classes = table.subgroup_orbits(generators, domain)
@@ -207,19 +186,13 @@ def _cmd_orbits(args) -> int:
     if args.format == "json":
         _emit_json({"classes": [list(c) for c in classes]})
     else:
-        for block in classes:
-            print(" ".join(block))
+        sys.stdout.write("".join(" ".join(block) + "\n" for block in classes))
     return 0
 
 
 def _cmd_example(args) -> int:
-    name = canonical_example_name(args.name)
-    spec = ExampleSpec(
-        name=name,
-        n=args.n,
-        cartan=_parse_cartan(args.cartan) if args.cartan else None,
-    )
-    example = build_example(spec)
+    cartan = _parse_cartan(args.cartan) if args.cartan else None
+    example = build_example(ExampleSpec(canonical_example_name(args.name), args.n, cartan))
     if args.emit == "dot":
         sys.stdout.write(example.table.to_dot())
     else:
@@ -238,56 +211,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_format(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
         return p
 
-    p = with_format(sub.add_parser("snf", help="Smith normal form of an integer matrix"))
+    p = command("snf", _cmd_snf, "Smith normal form of an integer matrix")
     p.add_argument("--matrix", required=True, help="matrix JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_snf)
-
-    p = with_format(
-        sub.add_parser("divisors", help="elementary divisors of a sublattice basis")
-    )
+    p = command("divisors", _cmd_divisors, "elementary divisors of a sublattice basis")
     p.add_argument("--matrix", required=True, help="matrix JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_divisors)
-
-    p = with_format(
-        sub.add_parser("count-open", help="open real orbit count from a divisor list")
-    )
+    p = command("count-open", _cmd_count_open, "open real orbit count from a divisor list")
     p.add_argument("--divisors", required=True, help="comma-separated divisors, e.g. 2,2,1,1")
-    p.set_defaults(func=_cmd_count_open)
-
-    p = with_format(sub.add_parser("patterns", help="enumerate (signed) patterns"))
+    p = command("patterns", _cmd_patterns, "enumerate (signed) patterns")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--complex", action="store_true", help="unsigned patterns")
-    p.set_defaults(func=_cmd_patterns)
-
-    p = with_format(
-        sub.add_parser("sylvester", help="inertia classes of open sign patterns")
-    )
+    p = command("sylvester", _cmd_sylvester, "inertia classes of open sign patterns")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_sylvester)
-
-    p = with_format(sub.add_parser("braid-check", help="verify braid relations"))
+    p = command("braid-check", _cmd_braid_check, "verify braid relations")
     _add_table_source(p)
     p.add_argument("--open-only", action="store_true", help="restrict to open orbits")
     p.add_argument("--generators", help="comma-separated root indices")
     p.add_argument("--strict", action="store_true", help="exit 2 on failure")
-    p.set_defaults(func=_cmd_braid_check)
-
-    p = with_format(sub.add_parser("orbits", help="orbit classes of a reflection table"))
+    p = command("orbits", _cmd_orbits, "orbit classes of a reflection table")
     _add_table_source(p)
     p.add_argument("--generators", help="comma-separated root indices (subgroup orbits)")
-    p.add_argument(
-        "--domain",
-        choices=("all", "open"),
-        default="all",
-        help="domain for --generators (default all orbits)",
-    )
-    p.set_defaults(func=_cmd_orbits)
+    domain_help = "domain for --generators (default all orbits)"
+    p.add_argument("--domain", choices=("all", "open"), default="all", help=domain_help)
 
     p = sub.add_parser("example", help="emit a catalog example")
     p.add_argument("name", help="ordered_pairs, unordered_pairs, torus_counterexample, g2_case")

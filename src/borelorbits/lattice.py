@@ -66,9 +66,6 @@ class IntegerMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(tuple(zip(*self.entries)))
 

@@ -5,8 +5,10 @@ splits into spans and which of the eight real edge types each span carries.
 The induced simple-reflection permutations, braid-relation checks, and
 orbit enumeration under subgroups of reflections are all computed from this
 combinatorial data; the table itself is input, not derived from geometry.
-Every table comes from the validating constructor, which stores each
-reflection as an involution on orbit indices (orbit k is the k-th name).
+Every table passes one validating core over orbit indices (orbit k is the
+k-th name): the constructor maps span names to indices in front of it, and
+the pattern builds hand it index columns directly.  Spans are kept as
+columns and made into :class:`Span` objects only when asked for.
 
 Edge types and the permutation they induce on their span:
 
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .rootdata import CartanSpec
@@ -56,6 +60,10 @@ class EdgeType(enum.Enum):
     def lower_slots(self) -> int:
         return _SLOTS[self][1]
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # keeps dict lookups by type in C.
+    __hash__ = object.__hash__
+
     @property
     def complex_type(self) -> "EdgeType":
         if self in (EdgeType.T0, EdgeType.T1, EdgeType.T2):
@@ -79,6 +87,15 @@ _SLOTS = {
     EdgeType.T: (1, 2, ((1, 2),)),
     EdgeType.N: (1, 1, ()),
 }
+
+# A table stores each orbit's cell as one byte: its span's type code times
+# four plus its slot there, so slot 0 is the span's first open orbit.
+_TYPES = tuple(EdgeType)
+_TYPE_CODE = {edge: code for code, edge in enumerate(_TYPES)}
+_SHAPES = [(edge, _SLOTS[edge][0], _SLOTS[edge][0] + _SLOTS[edge][1]) for edge in _TYPES]
+_FIRST_SLOT = bytes(code & 3 == 0 for code in range(256))
+_T2_CELLS = bytes(code >> 2 == _TYPE_CODE[EdgeType.T2] for code in range(256))
+_MOVES_OPENS = (_TYPE_CODE[EdgeType.T2], _TYPE_CODE[EdgeType.N2])
 
 
 # Builders refuse, before allocating, more orbits than this: the n = r = 10
@@ -110,8 +127,8 @@ class Span(NamedTuple):
     """The orbits of one minimal-parabolic span, split into open and lower slots.
 
     Slot counts are dictated by the edge type, and are checked when the span
-    enters a table.  Where a type has two open or two lower slots their order
-    is canonicalized lexicographically; the reflection treats them
+    enters a table.  Where a type has two open or two lower slots, the spans
+    a table gives out list them in name order; the reflection treats them
     symmetrically.
     """
 
@@ -120,35 +137,24 @@ class Span(NamedTuple):
     open_orbits: tuple[str, ...]
     lower_orbits: tuple[str, ...] = ()
 
-    def normalized(self) -> "Span":
-        """Copy with slot tuples sorted; shape is checked at table construction."""
-        oo = tuple(sorted(self.open_orbits))
-        lo = tuple(sorted(self.lower_orbits))
-        if oo == self.open_orbits and lo == self.lower_orbits:
-            return self
-        return self._replace(open_orbits=oo, lower_orbits=lo)
-
     @property
     def members(self) -> tuple[str, ...]:
         return self.open_orbits + self.lower_orbits
 
     def moves(self) -> list[tuple[str, str]]:
         """Unordered pairs swapped by the reflection on this span."""
-        out = []
         members = self.open_orbits + self.lower_orbits
-        for a, b in _SLOTS[self.type][2]:
-            out.append((members[a], members[b]))
-        return out
+        return [(members[a], members[b]) for a, b in _SLOTS[self.type][2]]
 
     def to_json(self) -> dict:
-        out = {
-            "root": self.root,
-            "type": self.type.value,
-            "open": list(self.open_orbits),
-        }
-        if self.lower_orbits:
-            out["lower"] = list(self.lower_orbits)
-        return out
+        return _span_json(self.root, self.type, list(self.open_orbits), list(self.lower_orbits))
+
+
+def _span_json(root: int, edge: EdgeType, opens: list[str], lowers: list[str]) -> dict:
+    out = {"root": root, "type": edge.value, "open": opens}
+    if lowers:
+        out["lower"] = lowers
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,19 +184,11 @@ class BraidReport:
         raise KeyError(f"no braid verdict for pair ({i},{j})")
 
     def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "pairs": [
-                {
-                    "i": p.i,
-                    "j": p.j,
-                    "exponent": p.exponent,
-                    "holds": p.holds,
-                    "witness": p.witness,
-                }
-                for p in self.pairs
-            ],
-        }
+        pairs = [
+            {"i": p.i, "j": p.j, "exponent": p.exponent, "holds": p.holds, "witness": p.witness}
+            for p in self.pairs
+        ]
+        return {"holds": self.holds, "pairs": pairs}
 
 
 def _braid_witness(si: list[int], sj: list[int], m: int, support: set[int]) -> int | None:
@@ -209,9 +207,7 @@ def _braid_witness(si: list[int], sj: list[int], m: int, support: set[int]) -> i
             support.discard(point)
             point = si[sj[point]]
         if m % len(cycle):
-            least = min(cycle)
-            if witness is None or least < witness:
-                witness = least
+            witness = min(cycle) if witness is None else min(witness, *cycle)
     return witness
 
 
@@ -252,57 +248,123 @@ def _json_names(entry: dict, key: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _span_fault(span: Span, root: int, slot: int, index, cell, dims) -> ValueError:
-    """Why ``span`` cannot join the spans at ``root``; its members before ``slot`` passed.
+def _root_columns(runs, identity: list[int], is_open: bytes, dims):
+    """The reflection, link and kind columns of one root, or None when a check fails.
 
-    Faults are tested in a fixed order, so a span with several reports one.
+    Every orbit takes exactly one slot (kinds start at 255, which no slot
+    has); two slots of one kind are put in index order.
     """
-    members = span.members
-    if len(set(members)) != len(members):
-        return ValueError(f"span members must be distinct, got {members}")
-    opens, lowers, _ = _SLOTS[span.type]
-    if len(span.open_orbits) != opens or len(span.lower_orbits) != lowers:
-        return ValueError(f"span of type {span.type.value} at root {root} has wrong slot counts")
-    if slot < len(members):
-        name = members[slot]
-        if name not in index:
-            return ValueError(f"span at root {root} names unknown orbit {name!r}")
-        if cell[index[name]] is not None:
-            return ValueError(f"orbit {name!r} appears in two spans at root {root}")
-        return ValueError(f"globally open orbit {name!r} sits in a lower slot at root {root}")
-    return ValueError(
-        f"U-span at root {root} pairs dim {dims[index[members[0]]]} with dim "
-        f"{dims[index[members[1]]]}; lower orbit must be one dimension below the open one"
-    )
+    perm, link, kind = identity.copy(), identity.copy(), bytearray(b"\xff") * len(identity)
+    for edge, opens, lowers, members in runs:
+        width = opens + lowers
+        if (opens, lowers) != _SLOTS[edge][:2]:
+            return None
+        if members and (min(members) < 0 or max(members) >= len(identity)):
+            return None
+        for first, size in ((0, opens), (opens, lowers)):
+            if size == 2:
+                a, b = members[first::width], members[first + 1 :: width]
+                members[first::width] = map(min, a, b)
+                members[first + 1 :: width] = map(max, a, b)
+        columns = [members[slot::width] for slot in range(width)]
+        code = _TYPE_CODE[edge] << 2
+        for slot, column in enumerate(columns):
+            if slot >= opens and any(map(is_open.__getitem__, column)):
+                return None
+            for k in column:
+                if kind[k] != 255:
+                    return None
+                kind[k] = code + slot
+            if width > 1:
+                for k, after in zip(column, columns[slot + 1 - width]):
+                    link[k] = after
+        if edge is EdgeType.U and dims is not None:
+            for a, b in zip(*columns):
+                if dims[a] is not None and dims[b] is not None and dims[a] != dims[b] + 1:
+                    return None
+        for x, y in _SLOTS[edge][2]:
+            for a, b in zip(columns[x], columns[y]):
+                perm[a] = b
+                perm[b] = a
+    return None if 255 in kind else (perm, link, bytes(kind))
+
+
+class _Labels(dict):
+    """Orbit name -> index; an unknown name gets the next index, so a refusal can name it."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = index = len(self)
+        return index
 
 
 class ReflectionTable:
     """Immutable orbit set with a span decomposition per simple root.
 
-    Construction validates that, for each root, the spans partition the orbit
-    set, that slot counts match each span's type, that globally open orbits
-    only ever occupy open slots, and (when dimensions are given) that U-spans
-    pair an orbit of dimension d with one of dimension d-1.  There is no other
-    way to make a table.
+    Orbit k is the k-th name in sorted order.  The constructor maps the names
+    in its :class:`Span` objects to indices; the pattern builds pass indices
+    to :meth:`from_columns`.  Both enter one validating core, which checks
+    that at each root the spans partition the orbits, that slot counts match
+    each span's type, that globally open orbits only occupy open slots, and
+    (when dimensions are given) that U-spans step down one dimension.
 
-    Orbit k is the k-th name in sorted order, and each reflection is a
-    ``list[int]`` involution on the indices.  Index order is name order, so
-    least witnesses and sorted classes need no names; names are made only for
-    results and error messages.
+    Per root the core keeps three columns over the orbits: the reflection, a
+    ``list[int]`` involution; the kind, a byte for the type and slot of the
+    orbit's span; and the link, the next member of that span.  Spans are made
+    from them on demand and not kept.  Index order is name order, so least
+    witnesses and sorted classes need no names.
     """
 
-    def __init__(
-        self,
-        orbits: Iterable[Orbit],
-        cartan: CartanSpec,
-        spans: Iterable[Span],
-    ) -> None:
-        orbit_list = sorted(orbits, key=lambda o: o.name)
+    def __init__(self, orbits: Iterable[Orbit], cartan: CartanSpec, spans: Iterable[Span]) -> None:
+        self._take_orbits(orbits)
+        spans = spans if isinstance(spans, list) else list(spans)
+        # The spans of one shape at a root form one run, in input order.
+        runs: dict[tuple, list[str]] = {}
+        for root, edge, oo, lo in spans:
+            names = runs.setdefault((root, edge, len(oo), len(lo)), [])
+            names += oo
+            names += lo
+        labels = _Labels(self._index)
+        lookup = labels.__getitem__
+        columns: dict = {root: [] for root in range(1, cartan.rank + 1)}
+        for (root, *shape), names in runs.items():
+            names[:] = map(lookup, names)
+            # A root out of range enters here in input order; the core refuses it.
+            columns.setdefault(root, []).append((*shape, names))
+
+        def in_order(root):
+            for at, edge, oo, lo in spans:
+                if at == root:
+                    yield edge, [*map(lookup, oo)], [*map(lookup, lo)]
+
+        self._assemble(cartan, columns, in_order, tuple(labels))
+
+    @classmethod
+    def from_columns(
+        cls, orbits: Iterable[Orbit], cartan: CartanSpec, columns
+    ) -> "ReflectionTable":
+        """A table from index-form spans, validated by the same core as the constructor.
+
+        ``columns`` maps each root to runs ``(type, opens, lowers, members)``:
+        spans of one shape as one flat list of orbit indices (name order),
+        ``opens + lowers`` per span, open slots first; lists are reordered.
+        """
+
+        def in_order(root):
+            for edge, opens, lowers, members in columns.get(root, ()):
+                width = opens + lowers
+                for start in range(0, len(members), width) if width else (0,):
+                    span = members[start : start + width]
+                    yield edge, span[:opens], span[opens:]
+
+        table = cls.__new__(cls)
+        table._take_orbits(orbits)
+        table._assemble(cartan, columns, in_order, table._names)
+        return table
+
+    def _take_orbits(self, orbits: Iterable[Orbit]) -> None:
+        orbit_list = sorted(orbits, key=attrgetter("name"))
         names = tuple(o.name for o in orbit_list)
-        # The per-root lists start as copies of one identity list, so all of
-        # them share its int objects.
-        identity = list(range(len(names)))
-        index = dict(zip(names, identity))
+        index = dict(zip(names, range(len(names))))
         if len(index) != len(names):
             raise ValueError("orbit names must be unique")
         for o in orbit_list:
@@ -310,84 +372,96 @@ class ReflectionTable:
                 raise ValueError("orbit name must be nonempty")
             if o.is_open and not o.is_max_rank:
                 raise ValueError(f"open orbit {o.name!r} must be of maximal rank")
-
-        by_root: dict[int, list[Span]] = {i: [] for i in range(1, cartan.rank + 1)}
-        for span in spans:
-            root_spans = by_root.get(span.root)
-            if root_spans is None:
-                raise ValueError(f"span root {span.root} out of range 1..{cartan.rank}")
-            root_spans.append(span)
-
-        # One pass per root fills the involution and the span held at each
-        # index; a failed check hands the span to _span_fault for the error.
-        is_open = [o.is_open for o in orbit_list]
-        dims = [o.dim for o in orbit_list]
-        lookup, slots = index.get, _SLOTS
-        self._reflections: dict[int, list[int]] = {}
-        self._span_at: dict[int, list[Span]] = {}
-        for root, root_spans in by_root.items():
-            perm = identity.copy()
-            cell: list = [None] * len(names)
-            for span in root_spans:
-                _, edge, oo, lo = span
-                opens, lowers, swaps = slots[edge]
-                if len(oo) != opens or len(lo) != lowers:
-                    raise _span_fault(span.normalized(), root, 0, index, cell, dims)
-                if not lowers:  # P, T0, N0: one fixed orbit
-                    k = lookup(oo[0])
-                    if k is None or cell[k] is not None:
-                        raise _span_fault(span, root, 0, index, cell, dims)
-                    cell[k] = span
-                    continue
-                if opens == 1 == lowers:  # U, N1, N
-                    a, b = lookup(oo[0]), lookup(lo[0])
-                    if a is None or cell[a] is not None:
-                        raise _span_fault(span, root, 0, index, cell, dims)
-                    cell[a] = span
-                    if b is None or cell[b] is not None or is_open[b]:
-                        raise _span_fault(span, root, 1, index, cell, dims)
-                    cell[b] = span
-                    if swaps:  # U: the open orbit sits one dimension above the lower
-                        perm[a], perm[b] = b, a
-                        if dims[a] is not None and dims[b] is not None and dims[a] != dims[b] + 1:
-                            raise _span_fault(span, root, 2, index, cell, dims)
-                    continue
-                if (opens == 2 and oo[0] > oo[1]) or (lowers == 2 and lo[0] > lo[1]):
-                    span = span.normalized()
-                    oo, lo = span.open_orbits, span.lower_orbits
-                ks = []
-                for slot, name in enumerate(oo + lo):
-                    k = lookup(name)
-                    if k is None or cell[k] is not None or (slot >= opens and is_open[k]):
-                        raise _span_fault(span, root, slot, index, cell, dims)
-                    cell[k] = span
-                    ks.append(k)
-                for x, y in swaps:
-                    perm[ks[x]], perm[ks[y]] = ks[y], ks[x]
-            if None in cell:
-                missing = [name for name, held in zip(names, cell) if held is None]
-                raise ValueError(f"orbits not covered by any span at root {root}: {missing}")
-            self._reflections[root] = perm
-            self._span_at[root] = cell
-
         self.orbits: tuple[Orbit, ...] = tuple(orbit_list)
+        self._names, self._index = names, index
+
+    def _assemble(self, cartan: CartanSpec, columns, in_order, labels: Sequence[str]) -> None:
+        """The validating core: check the runs of every root and store its columns.
+
+        Only to word a refusal, ``in_order(root)`` yields the root's spans in
+        input order as (type, open indices, lower indices), and ``labels``
+        names every index they use.
+        """
+        for root in columns:
+            if root not in range(1, cartan.rank + 1):
+                raise ValueError(f"span root {root} out of range 1..{cartan.rank}")
+        identity = list(self._index.values())  # the ints the name boundary hands out
+        is_open = bytes(o.is_open for o in self.orbits)
+        dims = [o.dim for o in self.orbits] if any(o.dim is not None for o in self.orbits) else None
+        # Per root: the involution, the next member of each orbit's span, and
+        # each orbit's kind byte.
+        self._reflections, self._links, self._kinds = {}, {}, {}
+        for root in range(1, cartan.rank + 1):
+            made = _root_columns(columns.get(root, ()), identity, is_open, dims)
+            if made is None:
+                raise self._fault(root, in_order(root), labels, is_open, dims)
+            self._reflections[root], self._links[root], self._kinds[root] = made
         self.cartan = cartan
-        self._names = names
-        self._index = index
-        self._spans: dict[int, tuple[Span, ...]] | None = None
         self._real_classes: tuple[tuple[str, ...], ...] | None = None
+
+    def _fault(self, root: int, spans, labels: Sequence[str], is_open: bytes, dims) -> ValueError:
+        """Why the spans at ``root`` are refused: the first faulty one in input order.
+
+        A span's opens and lowers are each read in name order and its faults
+        are tested in a fixed order; spans that pass take their orbits first.
+        """
+        count = len(is_open)
+        held = bytearray(count)
+
+        def label(k: int) -> str:  # an index past the labels is named by its number
+            return labels[k] if 0 <= k < len(labels) else f"#{k}"
+
+        for edge, oo, lo in spans:
+            opens = len(oo)
+            ks = sorted(oo, key=label) + sorted(lo, key=label)
+            if len(set(ks)) != len(ks):
+                return ValueError(f"span members must be distinct, got {tuple(map(label, ks))}")
+            if (opens, len(lo)) != _SLOTS[edge][:2]:
+                return ValueError(f"span of type {edge.value} at root {root} has wrong slot counts")
+            for slot, k in enumerate(ks):
+                name = label(k)
+                if not 0 <= k < count:
+                    return ValueError(f"span at root {root} names unknown orbit {name!r}")
+                if held[k]:
+                    return ValueError(f"orbit {name!r} appears in two spans at root {root}")
+                if slot >= opens and is_open[k]:
+                    return ValueError(
+                        f"globally open orbit {name!r} sits in a lower slot at root {root}"
+                    )
+                held[k] = 1
+            if edge is EdgeType.U and dims is not None:
+                a, b = dims[ks[0]], dims[ks[1]]
+                if a is not None and b is not None and a != b + 1:
+                    return ValueError(
+                        f"U-span at root {root} pairs dim {a} with dim {b}; lower orbit "
+                        "must be one dimension below the open one"
+                    )
+        missing = [name for name, covered in zip(self._names, held) if not covered]
+        return ValueError(f"orbits not covered by any span at root {root}: {missing}")
+
+    def _spans_at(self, root: int, heads: Iterable[int]):
+        """(type, open names, lower names) of the spans at ``root`` led by the orbits ``heads``."""
+        kind, link, names = self._kinds[root], self._links[root], self._names
+        for k in heads:
+            edge, opens, width = _SHAPES[kind[k] >> 2]
+            members = [names[k]]
+            while len(members) < width:
+                k = link[k]
+                members.append(names[k])
+            yield edge, members[:opens], members[opens:]
+
+    def _heads(self, root: int):
+        """The first open orbit of every span at ``root``, in name order."""
+        kind = self._kinds[root]
+        return compress(range(len(kind)), kind.translate(_FIRST_SLOT))
 
     @property
     def spans(self) -> dict[int, tuple[Span, ...]]:
-        """Per-root span lists, ordered by their first open orbit."""
-        if self._spans is None:
-            self._spans = {
-                root: tuple(
-                    span for name, span in zip(self._names, cell) if span.open_orbits[0] == name
-                )
-                for root, cell in self._span_at.items()
-            }
-        return self._spans
+        """Per-root span lists, ordered by their first open orbit; made on each call."""
+        return {root: self._span_objects(root, self._heads(root)) for root in self._kinds}
+
+    def _span_objects(self, root: int, heads: Iterable[int]) -> tuple[Span, ...]:
+        return tuple(Span(root, e, tuple(o), tuple(w)) for e, o, w in self._spans_at(root, heads))
 
     def _reflection(self, root: int) -> list[int]:
         try:
@@ -410,9 +484,12 @@ class ReflectionTable:
 
     def span_of(self, name: str, root: int) -> Span:
         try:
-            return self._span_at[root][self._index[name]]
+            k, kind, link = self._index[name], self._kinds[root], self._links[root]
         except KeyError:
             raise ValueError(f"no span for orbit {name!r} at root {root}") from None
+        while kind[k] & 3:  # on to slot 0, the first open orbit
+            k = link[k]
+        return self._span_objects(root, (k,))[0]
 
     def reflection_permutation(self, root: int) -> dict[str, str]:
         """The involution induced by s_root on the full orbit set."""
@@ -422,9 +499,7 @@ class ReflectionTable:
     # -- braid relations ---------------------------------------------------
 
     def check_braid(
-        self,
-        restrict_to: Iterable[str] | None = None,
-        generators: Iterable[int] | None = None,
+        self, restrict_to: Iterable[str] | None = None, generators: Iterable[int] | None = None
     ) -> BraidReport:
         """Verify (s_i s_j)^{m_ij} = id for every unordered generator pair.
 
@@ -508,12 +583,13 @@ class ReflectionTable:
         if self._real_classes is None:
             opens = {k for k, o in enumerate(self.orbits) if o.is_open}
             for root, perm in self._reflections.items():
+                kind = self._kinds[root]
                 for k in sorted(opens):
-                    span = self._span_at[root][k]
-                    if span.type in (EdgeType.T2, EdgeType.N2) and perm[k] not in opens:
+                    if kind[k] >> 2 in _MOVES_OPENS and perm[k] not in opens:
                         raise ValueError(
                             f"T/N reflection s_{root} maps open orbit to non-open "
-                            f"within span {span.open_orbits}; table is inconsistent"
+                            f"within span {self.span_of(self._names[k], root).open_orbits}; "
+                            "table is inconsistent"
                         )
             # A U-span carries an open orbit to a lower one, so the moves that
             # stay among the open orbits are exactly those swaps.
@@ -543,17 +619,13 @@ class ReflectionTable:
     # -- diagnostics ---------------------------------------------------------
 
     def type_census(self) -> TypeCensus:
+        """Spans per type and root, counted as the first open orbits in the kind column."""
+        max_rank = bytes(o.is_max_rank for o in self.orbits)
         counts: dict[int, dict[EdgeType, int]] = {}
         t2_flag = False
-        for root, root_spans in self.spans.items():
-            tally: dict[EdgeType, int] = {}
-            for span in root_spans:
-                tally[span.type] = tally.get(span.type, 0) + 1
-                if span.type is EdgeType.T2 and any(
-                    self.orbit(name).is_max_rank for name in span.members
-                ):
-                    t2_flag = True
-            counts[root] = tally
+        for root, kind in self._kinds.items():
+            counts[root] = {t: n for t, code in _TYPE_CODE.items() if (n := kind.count(code << 2))}
+            t2_flag = t2_flag or any(compress(max_rank, kind.translate(_T2_CELLS)))
         return TypeCensus(counts=counts, t2_on_max_rank=t2_flag)
 
     # -- serialization ---------------------------------------------------------
@@ -565,10 +637,8 @@ class ReflectionTable:
             if o.dim is not None:
                 entry["dim"] = o.dim
             orbit_objs.append(entry)
-        span_objs = [
-            span.to_json() for root in sorted(self.spans) for span in self.spans[root]
-        ]
-        return {"orbits": orbit_objs, "cartan": self.cartan.to_json(), "spans": span_objs}
+        spans = [_span_json(r, *s) for r in self._kinds for s in self._spans_at(r, self._heads(r))]
+        return {"orbits": orbit_objs, "cartan": self.cartan.to_json(), "spans": spans}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ReflectionTable":
@@ -589,14 +659,9 @@ class ReflectionTable:
             name = entry.get("id")
             if not isinstance(name, str) or not name:
                 raise ValueError(f"orbit 'id' must be a nonempty string, got {name!r}")
-            orbits.append(
-                Orbit(
-                    name=name,
-                    is_open=_json_flag(entry, "open"),
-                    is_max_rank=_json_flag(entry, "max_rank"),
-                    dim=_json_int(entry["dim"], "orbit 'dim'") if "dim" in entry else None,
-                )
-            )
+            flags = _json_flag(entry, "open"), _json_flag(entry, "max_rank")
+            dim = _json_int(entry["dim"], "orbit 'dim'") if "dim" in entry else None
+            orbits.append(Orbit(name, *flags, dim))
         spans = []
         for entry in span_objs:
             if not isinstance(entry, dict):
@@ -607,14 +672,8 @@ class ReflectionTable:
                 edge = EdgeType(entry["type"])
             except ValueError:
                 raise ValueError(f"unknown edge type {entry.get('type')!r}") from None
-            spans.append(
-                Span(
-                    root=_json_int(entry["root"], "span 'root'"),
-                    type=edge,
-                    open_orbits=_json_names(entry, "open"),
-                    lower_orbits=_json_names(entry, "lower"),
-                )
-            )
+            root = _json_int(entry["root"], "span 'root'")
+            spans.append(Span(root, edge, _json_names(entry, "open"), _json_names(entry, "lower")))
         return cls(orbits=orbits, cartan=CartanSpec.from_json(cartan_obj), spans=spans)
 
     def to_dot(self) -> str:
@@ -629,10 +688,10 @@ class ReflectionTable:
             lines.append(f'  "{o.name}" [shape={shape}];')
         names = self._names
         for root, perm in self._reflections.items():
-            cell = self._span_at[root]
+            kind = self._kinds[root]
             for k, image in enumerate(perm):
                 if image > k:
-                    label = f"s{root}:{cell[k].type.value}"
+                    label = f"s{root}:{_TYPES[kind[k] >> 2].value}"
                     lines.append(f'  "{names[k]}" -- "{names[image]}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -25,7 +25,9 @@ tables and for :meth:`SignedPattern.classify_edge` alike:
                              transposed partner
 
 The classifier answers in the signed column: a bare-dot pair is N2, and the
-complex table takes its type through :attr:`EdgeType.complex_type`.
+complex table takes its type through :attr:`EdgeType.complex_type`.  The
+tables are built in index form: each pattern is a fixed-width byte record,
+and a root's transposition acts on all records at once (see ``_build``).
 
 Which member of a U-pair is open is decided by the ranks of the upper-left
 corner submatrices of the form (:meth:`SignedPattern.corner_rank`), the
@@ -41,10 +43,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+import sys
 import weakref
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
-from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count
+from .orbits import EdgeType, Orbit, ReflectionTable, check_orbit_count
 from .rootdata import CartanSpec, check_rank
 
 ZERO = "0"
@@ -68,14 +74,6 @@ def _transpose_arcs(arcs: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[in
     return tuple(sorted(tuple(sorted((swap.get(j, j), swap.get(k, k)))) for j, k in arcs))
 
 
-_P_OPEN = (EdgeType.P, True)
-_N0_OPEN = (EdgeType.N0, True)
-_N2_OPEN = (EdgeType.N2, True)
-_N2_LOWER = (EdgeType.N2, False)
-_U_OPEN = (EdgeType.U, True)
-_U_LOWER = (EdgeType.U, False)
-
-
 def classify_cell(x: str, y: str, px: int, py: int, i: int) -> tuple[EdgeType, bool]:
     """The span type at positions (i, i+1) and whether the pattern is open in it.
 
@@ -84,16 +82,16 @@ def classify_cell(x: str, y: str, px: int, py: int, i: int) -> tuple[EdgeType, b
     a bare-dot pair answers N2, which complex tables project to N.
     """
     if x == ZERO:
-        return _P_OPEN if y == ZERO else _U_LOWER
+        return (EdgeType.P, True) if y == ZERO else (EdgeType.U, False)
     if y == ZERO:
-        return _U_OPEN
+        return EdgeType.U, True
     if not (px or py):
-        return _N0_OPEN if x == y != DOT else _N2_OPEN
+        return (EdgeType.N0 if x == y != DOT else EdgeType.N2), True
     if px == i + 1:
-        return _N2_LOWER
+        return EdgeType.N2, False
     # U between two active entries: a single one is its own partner, and
     # the pattern is open when the partner at i comes first.
-    return _U_OPEN if (px or i) < (py or i + 1) else _U_LOWER
+    return EdgeType.U, (px or i) < (py or i + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,10 +161,7 @@ class SignedPattern:
         )
 
     def sign_counts(self) -> tuple[int, int]:
-        return (
-            sum(1 for e in self.entries if e == PLUS),
-            sum(1 for e in self.entries if e == MINUS),
-        )
+        return self.entries.count(PLUS), self.entries.count(MINUS)
 
     # -- serialization -----------------------------------------------------
 
@@ -212,18 +207,11 @@ class SignedPattern:
 
     def corner_rank(self, rows: int, cols: int) -> int:
         """Rank of the form's matrix restricted to rows <= rows, cols <= cols."""
-        rank = 0
-        arc_positions = {p for arc in self.arcs for p in arc}
-        for p, e in enumerate(self.entries, start=1):
-            if e != ZERO and p not in arc_positions:
-                if p <= rows and p <= cols:
-                    rank += 1
-        for j, k in self.arcs:
-            if j <= rows and k <= cols:
-                rank += 1
-            if k <= rows and j <= cols:
-                rank += 1
-        return rank
+        arc_ends = {p for arc in self.arcs for p in arc}
+        entries = self.entries[: min(rows, cols)]
+        singles = sum(e != ZERO and p not in arc_ends for p, e in enumerate(entries, start=1))
+        arcs = sum((j <= rows and k <= cols) + (k <= rows and j <= cols) for j, k in self.arcs)
+        return singles + arcs
 
     # -- span classification ------------------------------------------------
 
@@ -242,10 +230,7 @@ class SignedPattern:
 
     def unsign(self) -> "SignedPattern":
         """Forget signs: the complex pattern under this real one."""
-        return SignedPattern(
-            entries=tuple(DOT if e in _SIGNS else e for e in self.entries),
-            arcs=self.arcs,
-        )
+        return SignedPattern(tuple(DOT if e in _SIGNS else e for e in self.entries), self.arcs)
 
 
 def pattern_count(n: int, r: int, signed: bool) -> int:
@@ -279,108 +264,148 @@ def _matchings(points: tuple[int, ...]):
             yield (pair,) + tail
 
 
+def _refuse_oversized(n: int, r: int, signed: bool) -> None:
+    """Refuse a shape with too many patterns, or whose Cartan rank n - 1 is over the limit."""
+    check_orbit_count(pattern_count(n, r, signed), f"patterns n={n} r={r}")
+    check_rank(n - 1)
+
+
+def _pattern_texts(n: int, r: int, signed: bool):
+    """Entry text and arcs of every pattern with n positions and rank r, unsorted.
+
+    The one enumeration, read by :func:`enumerate_patterns` and the table
+    build; callers refuse an oversized shape first.
+    """
+    # Complex singles are bare dots: one choice per single position.
+    singles_choices = _SIGNS if signed else (DOT,)
+    for active in itertools.combinations(range(1, n + 1), r):
+        for arc_count in range(0, r // 2 + 1):
+            for arc_positions in itertools.combinations(active, 2 * arc_count):
+                # Arc ends are dots, the singles take their entries by "%s".
+                template = "".join(
+                    DOT if p in arc_positions else "%s" if p in active else ZERO
+                    for p in range(1, n + 1)
+                )
+                for arcs in _matchings(arc_positions):
+                    # _matchings pairs off the smallest remaining point first,
+                    # so each arc tuple comes out canonically sorted.
+                    for signs in itertools.product(singles_choices, repeat=r - 2 * arc_count):
+                        yield template % signs, arcs
+
+
 def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPattern]:
     """All patterns with n positions and rank r, in lexicographic order.
 
     The shape is refused before anything is allocated when it has too many
     patterns, or when its table's Cartan rank n - 1 is over the rank limit.
     """
-    check_orbit_count(pattern_count(n, r, signed), f"patterns n={n} r={r}")
-    check_rank(n - 1)
-    # Complex singles are bare dots: one choice per single position.
-    singles_choices = _SIGNS if signed else (DOT,)
-    out = []
-    for active in itertools.combinations(range(1, n + 1), r):
-        for arc_count in range(0, r // 2 + 1):
-            for arc_positions in itertools.combinations(active, 2 * arc_count):
-                singles = tuple(p for p in active if p not in arc_positions)
-                for arcs in _matchings(arc_positions):
-                    # _matchings pairs off the smallest remaining point first,
-                    # so each arc tuple comes out canonically sorted.
-                    for signs in itertools.product(singles_choices, repeat=len(singles)):
-                        entries = [ZERO] * n
-                        for p in arc_positions:
-                            entries[p - 1] = DOT
-                        for p, s in zip(singles, signs):
-                            entries[p - 1] = s
-                        out.append(SignedPattern._unchecked(tuple(entries), arcs))
+    _refuse_oversized(n, r, signed)
+    entry = {e: e for e in _ENTRY_ORDER}.__getitem__  # tuple(text) would copy every dot
+    out = [
+        SignedPattern._unchecked(tuple(map(entry, text)), arcs)
+        for text, arcs in _pattern_texts(n, r, signed)
+    ]
     out.sort(key=SignedPattern.sort_key)
     return out
 
 
-def _build(n: int, r: int, patterns: list[SignedPattern]) -> ReflectionTable:
-    """Assemble the table of ``patterns``, of rank r, in one pass over (pattern, root) cells.
+# A pattern's record: one byte per entry (Latin-1 with "?" for the dot, then
+# translated), then per position its arc partner (0 for none).  Partners are
+# at most MAX_RANK + 1, so no entry byte is a position a transposition relabels.
+_ENTRY_BYTE = {ZERO: 0, PLUS: 253, MINUS: 254, DOT: 255}
+_ENCODE = bytes.maketrans(b"0+-?", bytes(_ENTRY_BYTE.values()))
+_ENTRY_OF_BYTE = {code: entry for entry, code in _ENTRY_BYTE.items()}
 
-    :func:`classify_cell` types each cell, and each span is emitted exactly
-    once, from a canonical member: the single orbit for P/N0, the (+,-) open
-    orbit for N2, the bare-dot orbit for complex N, and the open member for
-    U.  Orbit names are manipulated as strings; the table constructor checks
-    the spans and derives the reflections from them.
+# The runs a cell can head: (type, open slots, the rewrites of its record
+# giving its other members: 0 transposed, 1 merged into the arc (i, i+1)).
+_RUNS = (
+    (EdgeType.P, 1, ()),
+    (EdgeType.N0, 1, ()),
+    (EdgeType.U, 1, (0,)),
+    (EdgeType.N2, 2, (0, 1)),
+    (EdgeType.N, 1, (1,)),
+)
+_RUN_OF = {edge: code for code, (edge, _, _) in enumerate(_RUNS, start=1)}
+_HEADS = [bytes(code == run for code in range(256)) for run in _RUN_OF.values()]
+
+
+def _head_of(x: int, y: int, px: int, py: int, i: int) -> int:
+    """1 + the index in _RUNS of the run a cell heads; 0 if another member emits its span."""
+    entry = _ENTRY_OF_BYTE[x]
+    edge, open_here = classify_cell(entry, _ENTRY_OF_BYTE[y], px, py, i)
+    if not open_here or (edge is EdgeType.N2 and entry == MINUS):
+        return 0
+    return _RUN_OF[edge.complex_type if entry == DOT else edge]
+
+
+def _build(n: int, r: int, patterns) -> ReflectionTable:
+    """The table of ``patterns`` (entry text and arcs of each), of rank r, in index form.
+
+    The byte records, in name order, are laid end to end.  At root i two
+    extended-slice swaps of record columns and one ``bytes.translate`` that
+    relabels partners i <-> i+1 transpose every record at once; a second
+    rewrite merges positions i, i+1 into an arc, the lower orbit of N2 and N.
+    :func:`classify_cell` types each distinct (entries, partners) key once.
+    Each span comes from one member (the orbit of P/N0, the open one of U,
+    the (+,-) one of N2, the bare-dot one of N), its others from one record
+    -> index lookup each.  No object is made per cell or span.
     """
-    # Arc lists repeat a lot; their texts are memoized for this build only.
-    suffixes: dict[tuple[tuple[int, int], ...], str] = {}
-    swapped: dict[tuple[tuple[tuple[int, int], ...], int], str] = {}
-
-    def suffix(arcs):
-        text = suffixes.get(arcs)
-        if text is None:
-            text = suffixes[arcs] = _arc_suffix(arcs)
-        return text
-
-    def swapped_suffix(arcs, i):
-        text = swapped.get((arcs, i))
-        if text is None:
-            text = swapped[arcs, i] = suffix(_transpose_arcs(arcs, i))
-        return text
-
-    orbits = []
-    spans: list[Span] = []
-    classify, add, make_span = classify_cell, spans.append, Span
-    type_u, type_n2 = EdgeType.U, EdgeType.N2
-    for p in patterns:
-        arcs = p.arcs
-        name = "".join(p.entries) + suffix(arcs)
-        orbits.append(Orbit(name, not arcs and ZERO not in p.entries[:r], not arcs))
-        partner = None
-        if arcs:
-            partner = [0] * (n + 2)
+    tails: dict[tuple[tuple[int, int], ...], tuple[str, bytes]] = {}
+    names, records = [], []
+    for entries, arcs in patterns:
+        tail = tails.get(arcs)
+        if tail is None:
+            partners = bytearray(n)
             for j, k in arcs:
-                partner[j] = k
-                partner[k] = j
-        px = py = 0
-        for i0 in range(n - 1):
-            i = i0 + 1
-            x = name[i0]
-            y = name[i]
-            if partner is not None:
-                px = partner[i]
-                py = partner[i + 1]
-            edge, open_here = classify(x, y, px, py, i)
-            if not open_here:
-                continue  # emitted from the span's open member
-            if edge is type_u:
-                if px or py:
-                    other = name[:i0] + y + x + name[i0 + 2 : n] + swapped_suffix(arcs, i)
-                else:
-                    other = name[:i0] + y + x + name[i0 + 2 :]
-                add(make_span(i, edge, (name,), (other,)))
-            elif edge is type_n2:
-                if x == MINUS:
-                    continue  # emitted from the (+,-) member
-                lower = (
-                    name[:i0] + DOT + DOT + name[i0 + 2 : n]
-                    + suffix(tuple(sorted(arcs + ((i, i + 1),))))
-                )
-                if x == DOT:  # complex: one open orbit over the arc
-                    add(make_span(i, edge.complex_type, (name,), (lower,)))
-                else:
-                    add(make_span(i, edge, (name, name[:i0] + y + x + name[i0 + 2 :]), (lower,)))
-            else:  # P and N0: the orbit alone
-                add(make_span(i, edge, (name,)))
-    # This frame holds the only reference: the patterns are freed before the
-    # constructor reaches its peak.
-    del patterns
-    return ReflectionTable(orbits, CartanSpec.from_type("A", n - 1), spans)
+                partners[j - 1], partners[k - 1] = k, j
+            tail = tails[arcs] = (_arc_suffix(arcs), bytes(partners))
+        names.append(entries + tail[0])
+        records.append(entries.encode("latin-1", "replace").translate(_ENCODE) + tail[1])
+    order = sorted(range(len(names)), key=names.__getitem__)
+    orbits = [
+        Orbit(name, " " not in name and ZERO not in name[:r], " " not in name)
+        for name in map(names.__getitem__, order)
+    ]
+    del names
+    cells = list(range(len(order)))
+    blob = b"".join(map(records.__getitem__, order))
+    index = dict(zip(map(records.__getitem__, order), cells)).__getitem__
+    del records, order
+    width, dots = 2 * n, bytes((_ENTRY_BYTE[DOT],)) * len(cells)
+    unpack, first = struct.Struct(f"{width}s").iter_unpack, itemgetter(0)
+    columns, key_bytes = {}, bytearray(4 * len(cells))
+    for i in range(1, n):
+        x, y = blob[i - 1 :: width], blob[i::width]
+        px, py = blob[n + i - 1 :: width], blob[n + i :: width]
+        # Each cell's (x, y, px, py) as one int, so that each key is typed once.
+        key_bytes[0::4], key_bytes[1::4], key_bytes[2::4], key_bytes[3::4] = x, y, px, py
+        with memoryview(key_bytes).cast("I") as keys:
+            head_of = {key: _head_of(*key.to_bytes(4, sys.byteorder), i) for key in set(keys)}
+            heads = bytes(map(head_of.__getitem__, keys))
+        relabel = bytearray(range(256))
+        relabel[i], relabel[i + 1] = i + 1, i
+        swapped = bytearray(blob).translate(relabel)
+        swapped[i - 1 :: width], swapped[i::width] = y, x
+        swapped[n + i - 1 :: width] = py.translate(relabel)
+        swapped[n + i :: width] = px.translate(relabel)
+        merged = bytearray(blob)
+        merged[i - 1 :: width] = merged[i::width] = dots
+        merged[n + i - 1 :: width] = bytes((i + 1,)) * len(cells)
+        merged[n + i :: width] = bytes((i,)) * len(cells)
+        rewrites = (swapped, merged)
+        runs = columns[i] = []
+        for (edge, opens, others), select in zip(_RUNS, _HEADS):
+            chosen = heads.translate(select)
+            slots = [list(compress(cells, chosen))]
+            if slots[0]:
+                for w in others:
+                    rewritten = compress(unpack(rewrites[w]), chosen)
+                    slots.append(list(map(index, map(first, rewritten))))
+                members = [0] * (len(slots) * len(slots[0]))
+                for slot, column in enumerate(slots):
+                    members[slot :: len(slots)] = column
+                runs.append((edge, opens, len(slots) - opens, members))
+    return ReflectionTable.from_columns(orbits, CartanSpec.from_type("A", n - 1), columns)
 
 
 # Built tables by (n, r, signed), held weakly: callers holding a table share
@@ -392,8 +417,8 @@ def _table(n: int, r: int, signed: bool) -> ReflectionTable:
     _check_shape(n, r)
     table = _TABLES.get((n, r, signed))
     if table is None:
-        # Enumerating first refuses an oversized shape before the build starts.
-        table = _TABLES[n, r, signed] = _build(n, r, enumerate_patterns(n, r, signed))
+        _refuse_oversized(n, r, signed)
+        table = _TABLES[n, r, signed] = _build(n, r, _pattern_texts(n, r, signed))
     return table
 
 

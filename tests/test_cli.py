@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_orbits import random_tables
 
-from borelorbits import EdgeType, IntegerMatrix, ReflectionTable, SignedPattern, patterns, rootdata
+from borelorbits import (
+    EdgeType,
+    IntegerMatrix,
+    ReflectionTable,
+    SignedPattern,
+    catalog,
+    patterns,
+    rootdata,
+)
 from borelorbits.cli import main
 
 
@@ -240,6 +248,33 @@ def test_validation_errors_are_machine_readable(capsys):
 
     code, _, err = run_cli(capsys, "braid-check")
     assert code == 1  # no table source at all
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("braid-check", "--example", "quadratic", "--n", "4", "--r", "4", "--generators", ","),
+        ("orbits", "--example", "quadratic", "--n", "4", "--r", "4", "--generators", ","),
+        ("count-open", "--divisors", " "),
+        ("count-open", "--divisors", ",,"),
+        ("count-open", "--divisors=--"),
+        ("orbits", "--example", "quadratic", "--n", "4", "--r", "4", "--generators", ""),
+    ],
+    ids=["braid-check", "orbits", "count-open-blank", "count-open-commas", "dashes", "empty"],
+)
+def test_integer_lists_naming_no_integer_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("expected a comma-separated integer list")
+
+
+def test_integer_list_errors_echo_a_bounded_prefix(capsys):
+    code, out, err = run_cli(capsys, "count-open", "--divisors", "7" * 5000)
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message == f"expected a comma-separated integer list, got {'7' * 60 + '...'!r}"
+    assert len(err) < 200
 
 
 def test_outputs_are_byte_identical_across_runs(capsys):
@@ -631,3 +666,53 @@ def test_pattern_text_reader_accepts_or_refuses_cleanly(text):
     except ValueError:
         return
     assert SignedPattern.from_text(pattern.to_text()) == pattern
+
+
+_integer_lists = st.text() | st.text("0123456789,- x", max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_integer_lists)
+def test_integer_list_options_accept_or_refuse_cleanly(text):
+    # "--option=text" keeps argparse from reading a leading "-" as an option.
+    table = ["--example", "quadratic", "--n", "4", "--r", "3"]
+    for argv in (
+        ["braid-check", *table, f"--generators={text}"],
+        ["orbits", *table, f"--generators={text}"],
+        ["count-open", f"--divisors={text}"],
+    ):
+        _assert_clean_exit(*_run_on_stdin(argv, ""))
+
+
+_vectors = st.lists(st.lists(st.integers(-3, 3) | _leaves, max_size=4), max_size=4)
+_shaped_data = st.fixed_dictionaries(
+    {},
+    optional={
+        "type": st.sampled_from("ABCDG") | _leaves,
+        "rank": st.integers(0, 4) | _leaves,
+        "cartan": st.lists(st.lists(st.integers(-3, 2), max_size=4), max_size=4) | _leaves,
+        "spherical_roots": _vectors | _leaves,
+        "weight_sublattice": _shaped_matrices | _leaves,
+    },
+) | _leaves
+
+
+@st.composite
+def _mutated_data(draw):
+    """Valid datum JSON of a catalog family, sometimes with one field changed."""
+    build = draw(st.sampled_from((catalog.build_ordered_pairs, catalog.build_unordered_pairs)))
+    obj = build(draw(st.integers(2, 4)))[0].to_json()
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(obj) + ["cartan"]))
+        obj[key] = draw(_leaves | _vectors | _shaped_matrices)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_shaped_data | _mutated_data())
+def test_datum_reader_accepts_or_refuses_cleanly(obj):
+    try:
+        datum = rootdata.SphericalDatum.from_json(json.loads(json.dumps(obj)))
+    except ValueError:
+        return
+    assert rootdata.SphericalDatum.from_json(datum.to_json()) == datum

@@ -9,7 +9,10 @@ table moved to integer orbit indices.  The lattice digests (``snf`` and
 ``divisors``) were recorded before the elimination made its transforms
 optional, and pin u and v byte for byte.  The four-open ``unordered_pairs``
 JSON, the ``unordered_pairs`` DOT and the torus and G2 JSON were recorded
-before the catalog builders handed their spans over as one flat list.  A
+before the catalog builders handed their spans over as one flat list.  The
+benchmark-scale runs (``quadratic`` n = 8) and the (8, 6) signed and (8, 8)
+complex table JSON were recorded before the pattern tables were built in
+index form.  A
 deliberate output change updates the digest here and says why in the change
 log.
 """
@@ -55,6 +58,8 @@ GOLDEN_CLI = {
     "example unordered_pairs --n 7 --emit dot": "2788fbb4682079be605d3359ded3751f3553851046cc403d6490ce853e94749a",
     "example torus_counterexample --cartan B3": "e403f39181f6779ad3d5fa313f07f78c45d8bd658fe12cb716c81c11c87545e9",
     "example g2": "3cea23582f129763b375c692ff3cbd0c84ef781bfc516844fdd2285893dfbb0f",
+    "orbits --example quadratic --n 8 --r 6 --generators 1,2,3,4,5,6,7 --format json": "a6097f17edc1f1641ec42598a8f156c813e404de3909f790f6a9dc775275cdf7",
+    "braid-check --example quadratic --n 8 --r 8 --open-only": "9240722cd5adef9e2ec1285ebc035e4bbc8d239f1db45492d25b2a081b8a8f5f",
 }
 
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output
@@ -70,6 +75,12 @@ GOLDEN_CLI_STATUS = {
         1,
         _EMPTY,
         "49b4af0ef9ac06b04551bf5c482694c006df7f13156f64b7793fe39ffbe9969a",
+    ),
+    # "restriction is not invariant: s_6 moves '++++++00' to '+++++0+0' outside the subset"
+    "braid-check --example quadratic --n 8 --r 6 --open-only": (
+        1,
+        _EMPTY,
+        "9d9aecdc7ce91f04e3c3c6094bb3cd1eec8060a13507880fda22c64c68fe786d",
     ),
 }
 
@@ -88,6 +99,8 @@ GOLDEN_TABLES = {
     "complex 6 4": "2b2a636bf2d03362f4b65adfe696bca48c9954dffdee1f3e8ce8156eae9ed4c8",
     "complex 6 5": "a61ead9a09ff9589b0de1eeca60e1c4c839b5da977063ee5818d8103fb2b52fc",
     "complex 6 6": "56af11c32c140d7718681642f72ce5182bf52b8ab858eda8ca5e389c7bea294d",
+    "signed 8 6": "1c1f1912dbc4ba3912dab56ff38fe8a853e6ec0c1a1ddfd7776a2bd20c50cb3d",
+    "complex 8 8": "a12d37848b65e02644900819e6a13fc26cd4a686b7a66e3b09bebe32095dbe5b",
 }
 
 

@@ -261,6 +261,24 @@ def test_table_construction_errors():
         ReflectionTable(orbits, A1, [Span(1, EdgeType.U, ("O",), ("O",))])
 
 
+def test_index_columns_enter_the_same_checks():
+    orbits = [Orbit("O"), Orbit("Q")]
+    table = ReflectionTable.from_columns(orbits, A1, {1: [(EdgeType.U, 1, 1, [1, 0])]})
+    assert table.reflection_permutation(1) == {"O": "Q", "Q": "O"}
+    assert table.span_of("O", 1) == Span(1, EdgeType.U, ("Q",), ("O",))
+    cases = [
+        ({1: [(EdgeType.P, 1, 0, [0, 0])]}, "orbit 'O' appears in two spans at root 1"),
+        ({1: [(EdgeType.P, 1, 0, [0])]}, r"orbits not covered by any span at root 1: \['Q'\]"),
+        ({1: [(EdgeType.U, 1, 1, [0, 5])]}, "span at root 1 names unknown orbit '#5'"),
+        ({1: [(EdgeType.P, 1, 0, [-1, 1])]}, "span at root 1 names unknown orbit '#-1'"),
+        ({1: [(EdgeType.T2, 1, 1, [0, 1])]}, "span of type T2 at root 1 has wrong slot counts"),
+        ({2: [(EdgeType.P, 1, 0, [0, 1])]}, "span root 2 out of range 1..1"),
+    ]
+    for columns, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ReflectionTable.from_columns(orbits, A1, columns)
+
+
 def test_u_span_dimension_check():
     orbits = [Orbit("O", dim=5), Orbit("Q", dim=3)]
     with pytest.raises(ValueError, match="dimension"):

@@ -1,5 +1,6 @@
 """Signed patterns: enumeration, the type table, the symmetric-group action."""
 
+import itertools
 import math
 import random
 
@@ -226,18 +227,26 @@ def test_u_openness_matches_full_corner_dominance():
 
 
 def test_table_permutation_equals_transposition():
-    for n in range(1, 6):
-        for r in range(n + 1):
-            table = build_table(n, r)
-            for i in range(1, n):
-                perm = table.reflection_permutation(i)
-                for p in enumerate_patterns(n, r):
-                    assert perm[p.to_text()] == p.apply_transposition(i).to_text()
+    # Oracle: each pattern's own transposition, and its own classifier for
+    # the type of the span that holds it (projected for complex tables).
+    for n, r, signed in itertools.product(range(1, 8), range(8), (True, False)):
+        if r > n:
+            continue
+        table = build_table(n, r) if signed else build_complex_table(n, r)
+        patterns = enumerate_patterns(n, r, signed=signed)
+        for i in range(1, n):
+            perm = table.reflection_permutation(i)
+            for p in patterns:
+                name = p.to_text()
+                assert perm[name] == p.apply_transposition(i).to_text(), (name, i)
+                edge = p.classify_edge(i)[0]
+                assert table.span_of(name, i).type is (edge if signed else edge.complex_type)
 
 
 def test_bulk_tables_agree_with_validating_constructor():
-    # The bulk builder skips re-validation; feeding its spans back through
-    # the validating constructor must succeed and yield the same table.
+    # The pattern builds enter the validating core in index form; their
+    # spans fed back through the name boundary, as Span objects or as table
+    # JSON, must be accepted and give the same table.
     from borelorbits import ReflectionTable
 
     cases = [(n, r) for n in range(1, 6) for r in range(n + 1)] + [(6, 4), (6, 6)]
@@ -253,6 +262,16 @@ def test_bulk_tables_agree_with_validating_constructor():
                 assert revalidated.reflection_permutation(
                     i
                 ) == table.reflection_permutation(i)
+    json_cases = [(7, r) for r in range(8)] + [(8, 6), (8, 8)]
+    for n, r in json_cases:
+        for table in (build_table(n, r), build_complex_table(n, r)):
+            again = ReflectionTable.from_json(table.to_json())
+            for i in range(1, n):
+                assert again.reflection_permutation(i) == table.reflection_permutation(i)
+            assert again.spans == table.spans
+            assert again.to_json() == table.to_json()
+            assert again.to_dot() == table.to_dot()
+            assert again.real_group_orbit_classes() == table.real_group_orbit_classes()
 
 
 def test_built_tables_are_shared_only_while_held():
@@ -276,7 +295,8 @@ def test_table_spans_follow_type_table():
     n2 = table.span_of("+-0", 1)
     assert n2.open_orbits == ("+-0", "-+0")
     assert n2.lower_orbits == ("••0 [1,2]",)
-    assert table.span_of("••0 [1,2]", 1) is n2
+    # Spans are made on demand: the lower orbit's span equals the opens' span.
+    assert table.span_of("••0 [1,2]", 1) == n2
 
     rank_one = build_table(3, 1)
     assert rank_one.span_of("00+", 1).type is EdgeType.P
