@@ -70,6 +70,62 @@ def test_snf_text_prints_all_or_nothing(capsys, monkeypatch):
         assert isinstance(json.loads(err)["error"]["message"], str)
 
 
+def _seeded_dense_matrix(seed: int, k: int) -> list[list[int]]:
+    """The benchmark's seeded dense k x k input: entries in [-50, 50], nonsingular."""
+    rng = random.Random(f"{seed}:dense:{k}")
+    while True:
+        rows = [[rng.randint(-50, 50) for _ in range(k)] for _ in range(k)]
+        if IntegerMatrix.from_rows(rows).det():
+            return rows
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_snf_of_the_dense_48x48_input_prints(capsys, monkeypatch, fmt):
+    # Its transforms once outgrew the interpreter's int-to-str digit limit.
+    limit = sys.get_int_max_str_digits()
+    rows = _seeded_dense_matrix(1, 48)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"entries": rows})))
+    code, out, err = run_cli(capsys, "snf", "--matrix", "-", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        payload = json.loads(out)
+    else:
+        lines = out.splitlines()
+        assert lines[1] == "u:" and lines[50] == "v:" and len(lines) == 99
+        matrix = [[int(x) for x in line.split()] for line in lines[2:50] + lines[51:]]
+        payload = {"d": [int(x) for x in lines[0][3:].split()],
+                   "u": {"entries": matrix[:48]}, "v": {"entries": matrix[48:]}}
+    u, v = (IntegerMatrix.from_json(payload[key]) for key in ("u", "v"))
+    d = payload["d"]
+    diagonal = [[d[i] if i == j else 0 for j in range(48)] for i in range(48)]
+    assert (u @ IntegerMatrix.from_rows(rows) @ v).entries == tuple(map(tuple, diagonal))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": True, "entries": [[1]]},
+        {"cols": 1.0, "entries": [[1]]},
+        {"entries": [[1]] * 201},
+        {"entries": [[0] * 201]},
+    ],
+)
+def test_matrix_readers_refuse_misread_sizes(capsys, monkeypatch, obj):
+    for command in ("snf", "divisors"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run_cli(capsys, command, "--matrix", "-")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_matrix_readers_take_the_largest_size(capsys, monkeypatch):
+    rows = [[int(i == j) for j in range(200)] for i in range(200)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"entries": rows})))
+    code, out, err = run_cli(capsys, "divisors", "--matrix", "-")
+    assert (code, out, err) == (0, " ".join(["1"] * 200) + "\n", "")
+
+
 def test_divisors_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(
         sys, "stdin", io.StringIO(json.dumps({"entries": [[2, 0], [0, 3]]}))

@@ -5,16 +5,17 @@ or of a pattern table's canonical JSON.  They were recorded from the code
 before the span-type classifier was unified, and pin the rule that
 refactors leave CLI output unchanged.  The runs with a nonzero exit status,
 the catalog commands and the reflection digest were recorded before the
-table moved to integer orbit indices.  The lattice digests (``snf`` and
-``divisors``) were recorded before the elimination made its transforms
-optional, and pin u and v byte for byte.  The four-open ``unordered_pairs``
-JSON, the ``unordered_pairs`` DOT and the torus and G2 JSON were recorded
-before the catalog builders handed their spans over as one flat list.  The
-benchmark-scale runs (``quadratic`` n = 8) and the (8, 6) signed and (8, 8)
-complex table JSON were recorded before the pattern tables were built in
-index form.  A
-deliberate output change updates the digest here and says why in the change
-log.
+table moved to integer orbit indices.  The ``divisors`` digests were
+recorded before the elimination made its transforms optional.  The ``snf``
+digests pin u and v byte for byte; they were recorded when the elimination
+became reduced Hermite passes, which changed u and v but not d, and each of
+their inputs also has its decomposition checked directly.  The four-open
+``unordered_pairs`` JSON, the ``unordered_pairs`` DOT and the torus and G2
+JSON were recorded before the catalog builders handed their spans over as
+one flat list.  The benchmark-scale runs (``quadratic`` n = 8) and the
+(8, 6) signed and (8, 8) complex table JSON were recorded before the
+pattern tables were built in index form.  A deliberate output change
+updates the digest here and says why in the change log.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ import pytest
 
 from borelorbits import (
     CartanSpec,
+    IntegerMatrix,
     build_complex_table,
     build_g2_case,
     build_ordered_pairs,
@@ -124,27 +126,27 @@ _NONEMPTY = "76687fdd188f30330181ba1b6519aa2572f2fce9b521c03736d93119939b6b5a"
 # (input, command) -> (status, stdout digest, stderr digest), matrix read from stdin.
 GOLDEN_LATTICE = {
     ("dense12", "snf --matrix - --format json"): (
-        0, "cc4b48bc62a37774566b0ffad696806ad86634a40373164fba8ce11ca5a090eb", _EMPTY),
+        0, "3e66e5810e4cd252439ff13d186ad2570e7a1cfbb5072b3612a1b459fdc6f942", _EMPTY),
     ("dense12", "snf --matrix -"): (
-        0, "8e5b67cbab90ecb81262adf27fb06eba25bae8e05873f92b0b178bba784d4eb4", _EMPTY),
+        0, "5185a043fef3142c581053ac89ad287dd00c873d30533c9abeab50d79ad6c03c", _EMPTY),
     ("dense12", "divisors --matrix -"): (
         0, "976bbcdc6554d52e4bcd08d7a7c0fbbcde91e76f78d55e5e8d4eb762270e1d83", _EMPTY),
     ("rect3x5", "snf --matrix - --format json"): (
-        0, "51e86c65a6ffb0ef2098bdde8f9baf938421f89942cb4dc6b93a8ca848911e70", _EMPTY),
+        0, "53011c5887c2e1ae51412bb45e6ed0a631da901b86f6c9a3b324e6dbff57e7ae", _EMPTY),
     ("rect3x5", "snf --matrix -"): (
-        0, "06f35ef7cd421c36e7038b7464a5cb6c6cbadd72a1f60d014c996ab6c406dd36", _EMPTY),
+        0, "58147953cad28e77f506120bc3b79a31c7eb9024772bbd42f33789b75e656e7b", _EMPTY),
     ("rect3x5", "divisors --matrix -"): (
         0, "6e3efc811d40b03baab295f398ccc5f3a0b8c8c98c77fcd857540eea09e69f33", _EMPTY),
     ("deficient4", "snf --matrix - --format json"): (
-        0, "1a5c5de688c1e1b1d9c6d7cbb3ba2ac2e04708e8c5d25f4803f7085c12c286e7", _EMPTY),
+        0, "9dda672de418b008fdf71ade3e5617ab7cdb4330ba2a88db11ec4a50c5338381", _EMPTY),
     ("deficient4", "snf --matrix -"): (
-        0, "4515fc6ed5e11cf1fb95606ef1c48d21478fbc392732ea239c38dd914e030adb", _EMPTY),
+        0, "9ad7cea864ed4a55ac7f07a0478e577870203344920ee28b6ad045ed24619094", _EMPTY),
     # "sublattice basis is rank-deficient: 4 rows but rank 2"
     ("deficient4", "divisors --matrix -"): (1, _EMPTY, _RANK_DEFICIENT),
     ("unordered20", "snf --matrix - --format json"): (
-        0, "1406b133f00dd5b892756f2e56d30947a24845faa4aeb7d3fbf039b0dddcd8a0", _EMPTY),
+        0, "4f573d2a48bf73db5dddf979ee62c115d87c3a4c05aceb0fedb7bc4082a16968", _EMPTY),
     ("unordered20", "snf --matrix -"): (
-        0, "ed60ff403e2dc73806db3acae1ae7185ebbaf4c2207798dbc56bf0d1fa34bc1f", _EMPTY),
+        0, "c883ae381027d23fbf93abded92b116510df3b6d17e2de12a9fbfaa2b29f1be3", _EMPTY),
     ("unordered20", "divisors --matrix -"): (
         0, "1258867c4a83ddc03b35b4375fd39b286b0872d538091cb88af7b29a049e2089", _EMPTY),
     # "smith_normal_form requires a nonempty matrix", for divisors too
@@ -182,6 +184,19 @@ def test_lattice_status_and_streams_match_golden_digest(capsys, monkeypatch, nam
     code = main(command.split())
     captured = capsys.readouterr()
     assert (code, _sha256(captured.out), _sha256(captured.err)) == GOLDEN_LATTICE[name, command]
+
+
+@pytest.mark.parametrize("name", ["dense12", "rect3x5", "deficient4", "unordered20"])
+def test_lattice_snf_digests_pin_a_valid_decomposition(capsys, monkeypatch, name):
+    rows = _lattice_inputs()[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"entries": rows})))
+    assert main("snf --matrix - --format json".split()) == 0
+    payload = json.loads(capsys.readouterr().out)
+    u, v = (IntegerMatrix.from_json(payload[key]) for key in ("u", "v"))
+    d = payload["d"]
+    diagonal = [[d[i] if i == j else 0 for j in range(v.rows)] for i in range(u.rows)]
+    assert (u @ IntegerMatrix.from_rows(rows) @ v).entries == tuple(map(tuple, diagonal))
+    assert abs(u.det()) == abs(v.det()) == 1
 
 
 def _small_tables():

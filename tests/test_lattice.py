@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from borelorbits import (
@@ -161,6 +161,30 @@ def test_rank_and_divisors_agree_with_the_transformed_snf(m):
         )
 
 
+@st.composite
+def nonsingular_matrices(draw):
+    """Nonsingular n x n matrices, n <= 16, entries in [-50, 50]: dense, or ~30% nonzero."""
+    n = draw(st.integers(1, 16))
+    values = draw(st.lists(st.integers(-50, 50), min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+        values = [x if k < 3 else 0 for x, k in zip(values, keep)]
+    m = IntegerMatrix.from_rows([values[i * n : (i + 1) * n] for i in range(n)])
+    assume(m.det() != 0)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonsingular_matrices())
+def test_snf_transforms_stay_within_a_hadamard_multiple(m):
+    # H bounds the bits of |det m| (Hadamard: |det| <= product of row norms).
+    hadamard_bits = sum(math.log2(sum(x * x for x in row)) / 2 for row in m.entries)
+    snf = smith_normal_form(m)
+    assert (snf.u @ m @ snf.v).entries == snf.diagonal_matrix().entries
+    bits = max(abs(x).bit_length() for t in (snf.u, snf.v) for row in t.entries for x in row)
+    assert bits <= 3 * hadamard_bits + math.log2(m.rows) + 8
+
+
 def test_elementary_divisors_doubled_basis():
     # rows {2e_1, ..., 2e_r} inside rank n
     m = IntegerMatrix.from_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]])
@@ -211,6 +235,14 @@ def test_sign_coordinates_examples():
     assert sign_coordinates([2, 2, 1, 1]) == (1, 2)
     assert sign_coordinates([1, 1]) == ()
     assert sign_coordinates([4, 1, 1]) == (1,)
+
+
+def test_divisors_must_be_exact_integers():
+    for divisors in ([2.5], ["2"], [True, 2.9], [2, 2.0]):
+        with pytest.raises(ValueError, match="exact integers"):
+            count_open_real_orbits(divisors)
+        with pytest.raises(ValueError, match="exact integers"):
+            sign_coordinates(divisors)
 
 
 def test_divisors_must_be_positive():
@@ -268,6 +300,18 @@ def test_matrix_json_rejects_bad_shapes():
         IntegerMatrix.from_rows([[1.5]])
     with pytest.raises(ValueError):
         IntegerMatrix.from_rows([[True]])
+    for field, value in (("rows", True), ("cols", 1.0), ("rows", "1")):
+        with pytest.raises(ValueError, match="exact integers"):
+            IntegerMatrix.from_json({field: value, "entries": [[1]]})
+
+
+def test_matrix_json_size_limit():
+    IntegerMatrix.from_json({"entries": [[1] * 200] * 200})
+    for entries in ([[1]] * 201, [[1] * 201], [[1], [1] * 201]):
+        with pytest.raises(ValueError, match="over the limit of 200"):
+            IntegerMatrix.from_json({"entries": entries})
+    # Library callers are not limited.
+    assert IntegerMatrix.from_rows([[1] * 201]).cols == 201
 
 
 def test_divisor_list_chain_enforced():
