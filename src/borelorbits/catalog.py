@@ -20,11 +20,13 @@ Four constructions are provided:
 * ``build_g2_case()``: the rank-2 instance of the above over the G2 Cartan
   matrix, where m = 6 keeps the braid relation intact.
 
-Each builder collects its orbits and one flat list of spans, fills every
-(root, orbit) cell that no span covers with a P singleton, and hands both to
-the validating ``ReflectionTable`` constructor, which groups the spans by
-root.  The two pair families share the ladder at the long roots
-(``_ladder_block``); each adds its own spans at the short root.
+Each builder collects its orbits and one flat list of its non-P spans.
+``_table`` maps their names to indices, groups them into runs by root and
+shape, and adds one P run per root: the orbits no span covers there, read off
+a coverage byte per orbit.  No span object is made per P cell.  The runs go
+to ``ReflectionTable.from_columns``, which validates them like any table.
+The two pair families share the ladder at the long roots (``_ladder_block``);
+each adds its own spans at the short root.
 
 Weight sublattices are written in an explicit basis of the character
 lattice, namely (eps_1, ..., eps_{n-1}, (eps_1 + ... + eps_n)/2), so that
@@ -35,9 +37,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .lattice import IntegerMatrix, count_open_real_orbits, elementary_divisors
-from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count
+from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count, span_runs
 from .rootdata import CartanSpec, SphericalDatum
 
 
@@ -78,7 +81,12 @@ def canonical_example_name(name: str) -> str:
 
 
 def build_example(spec: ExampleSpec) -> CatalogExample:
+    """The named example; a size or Cartan parameter its family does not take is refused."""
     name = canonical_example_name(spec.name)
+    if spec.n is not None and name not in ("ordered_pairs", "unordered_pairs"):
+        raise ValueError(f"{name} does not take the size parameter n")
+    if spec.cartan is not None and name != "torus_counterexample":
+        raise ValueError(f"{name} does not take a Cartan matrix")
     if name in ("ordered_pairs", "unordered_pairs"):
         if spec.n is None:
             raise ValueError(f"{name} needs the size parameter n")
@@ -108,16 +116,19 @@ def _coeff_vector(n: int, *terms: tuple[int, int]) -> list[int]:
     return v
 
 
-def _complete_with_singletons(orbits: list[Orbit], spans: list[Span], rank: int) -> list[Span]:
-    """The spans plus a P singleton in every (root, orbit) cell they leave uncovered."""
-    covered = {(span.root, name) for span in spans for name in span.members}
-    names = [o.name for o in orbits]
-    return spans + [
-        Span(root, EdgeType.P, (name,))
-        for root in range(1, rank + 1)
-        for name in names
-        if (root, name) not in covered
-    ]
+def _table(orbits: list[Orbit], cartan: CartanSpec, spans: list[Span]) -> ReflectionTable:
+    """The table of ``spans``, with a P span for every (root, orbit) cell they leave uncovered."""
+    orbits.sort(key=attrgetter("name"))  # index order; the table's own sort then finds it sorted
+    count = len(orbits)
+    index = dict(zip(map(attrgetter("name"), orbits), range(count)))
+    columns, labels = span_runs(spans, index, cartan.rank)
+    for runs in columns.values():
+        uncovered = bytearray(b"\x01") * len(labels)
+        for *_, members in runs:
+            for k in members:
+                uncovered[k] = 0
+        runs.append((EdgeType.P, 1, 0, list(itertools.compress(range(count), uncovered))))
+    return ReflectionTable.from_columns(orbits, cartan, columns)
 
 
 def _add_lowers(orbits: list[Orbit], names: tuple[str, ...], dim: int | None) -> tuple[str, ...]:
@@ -180,8 +191,7 @@ def build_ordered_pairs(n: int) -> tuple[SphericalDatum, ReflectionTable]:
         partner = f"O{p}_{n - 1}"
         lows = _add_lowers(orbits, (f"{partner}^+", f"{partner}^-"), n - 2)
         spans.append(Span(root=n, type=EdgeType.T1, open_orbits=(partner,), lower_orbits=lows))
-    spans = _complete_with_singletons(orbits, spans, n)
-    return datum, ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
+    return datum, _table(orbits, cartan, spans)
 
 
 def build_unordered_pairs(n: int) -> tuple[SphericalDatum, ReflectionTable]:
@@ -225,8 +235,7 @@ def build_unordered_pairs(n: int) -> tuple[SphericalDatum, ReflectionTable]:
             partner = f"O{p}_{n - 1}"
             lows = _add_lowers(orbits, (f"{partner}^0",), n - 2)
             spans.append(Span(root=n, type=EdgeType.N1, open_orbits=(partner,), lower_orbits=lows))
-    spans = _complete_with_singletons(orbits, spans, n)
-    return datum, ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
+    return datum, _table(orbits, cartan, spans)
 
 
 # -- sign-flip actions ------------------------------------------------------------
@@ -247,13 +256,11 @@ def build_torus_counterexample(cartan: CartanSpec) -> ReflectionTable:
     spans: list[Span] = []
     for i in range(1, l + 1):
         for t in tuples:
-            flipped = t[: i - 1] + ("-" if t[i - 1] == "+" else "+") + t[i:]
-            if flipped < t:
-                continue
-            lows = _add_lowers(orbits, (f"{t}:s{i}:a", f"{t}:s{i}:b"), None)
-            spans.append(Span(i, EdgeType.T2, (t, flipped), lows))
-    spans = _complete_with_singletons(orbits, spans, l)
-    return ReflectionTable(orbits=orbits, cartan=cartan, spans=spans)
+            if t[i - 1] == "+":  # each span is listed from its "+" end
+                lows = (f"{t}:s{i}:a", f"{t}:s{i}:b")
+                spans.append(Span(i, EdgeType.T2, (t, t[: i - 1] + "-" + t[i:]), lows))
+    orbits += [Orbit(name) for span in spans for name in span.lower_orbits]
+    return _table(orbits, cartan, spans)
 
 
 def build_g2_case() -> ReflectionTable:

@@ -81,15 +81,29 @@ def _matrix_text(m: IntegerMatrix) -> str:
 # -- table sources ---------------------------------------------------------------
 
 
+def _refuse_unused(args, source: str, takes: tuple[str, ...]) -> None:
+    """Refuse a table-source option that ``source`` would ignore."""
+    given = [key for key in ("n", "r", "cartan") if getattr(args, key) is not None]
+    unused = [f"--{key}" for key in given if key not in takes]
+    if unused:
+        raise ValueError(f"{source} does not take {', '.join(unused)}")
+
+
 def _load_table(args) -> ReflectionTable:
-    if getattr(args, "table", None):
+    if args.table and args.example:
+        raise ValueError("provide a table via --table FILE or --example NAME, not both")
+    if args.table:
+        _refuse_unused(args, "--table", ())
         return ReflectionTable.from_json(_read_json(args.table))
-    if getattr(args, "example", None):
+    if args.example:
         name = args.example.strip().lower()
         if name == "quadratic":
+            _refuse_unused(args, "example 'quadratic'", ("n", "r"))
             if args.n is None or args.r is None:
                 raise ValueError("example 'quadratic' needs --n and --r")
             return build_table(args.n, args.r)
+        name = canonical_example_name(name)
+        _refuse_unused(args, f"example {name!r}", ("n", "cartan"))
         cartan = _parse_cartan(args.cartan) if args.cartan else None
         return build_example(ExampleSpec(name, args.n, cartan)).table
     raise ValueError("provide a table via --table FILE or --example NAME")
@@ -193,13 +207,16 @@ def _cmd_orbits(args) -> int:
 def _cmd_example(args) -> int:
     cartan = _parse_cartan(args.cartan) if args.cartan else None
     example = build_example(ExampleSpec(canonical_example_name(args.name), args.n, cartan))
+    # Written as it is made: the text of a large table is never held whole.
     if args.emit == "dot":
-        sys.stdout.write(example.table.to_dot())
-    else:
-        payload = {"name": example.name, "table": example.table.to_json()}
-        if example.datum is not None:
-            payload["datum"] = example.datum.to_json()
-        _emit_json(payload)
+        sys.stdout.writelines(example.table.iter_dot())
+        return 0
+    sys.stdout.write(f'{{\n  "name": {json.dumps(example.name)},\n  "table": ')
+    sys.stdout.writelines(example.table.iter_json(depth=1))
+    if example.datum is not None:
+        datum = json.dumps(example.datum.to_json(), indent=2, ensure_ascii=False)
+        sys.stdout.write(',\n  "datum": ' + datum.replace("\n", "\n  "))
+    sys.stdout.write("\n}\n")
     return 0
 
 

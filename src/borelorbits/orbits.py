@@ -7,8 +7,9 @@ orbit enumeration under subgroups of reflections are all computed from this
 combinatorial data; the table itself is input, not derived from geometry.
 Every table passes one validating core over orbit indices (orbit k is the
 k-th name): the constructor maps span names to indices in front of it, and
-the pattern builds hand it index columns directly.  Spans are kept as
-columns and made into :class:`Span` objects only when asked for.
+the pattern and catalog builds hand it index columns directly.  Spans are
+kept as columns and made into :class:`Span` objects only when asked for; the
+JSON and DOT texts are written from the columns in parts, one per root.
 
 Edge types and the permutation they induce on their span:
 
@@ -31,10 +32,12 @@ N     open + one lower (complex)   fix both
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from itertools import compress
+from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rootdata import CartanSpec
 
@@ -96,6 +99,7 @@ _SHAPES = [(edge, _SLOTS[edge][0], _SLOTS[edge][0] + _SLOTS[edge][1]) for edge i
 _FIRST_SLOT = bytes(code & 3 == 0 for code in range(256))
 _T2_CELLS = bytes(code >> 2 == _TYPE_CODE[EdgeType.T2] for code in range(256))
 _MOVES_OPENS = (_TYPE_CODE[EdgeType.T2], _TYPE_CODE[EdgeType.N2])
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 # Builders refuse, before allocating, more orbits than this: the n = r = 10
@@ -297,15 +301,38 @@ class _Labels(dict):
         return index
 
 
+def span_runs(spans: Iterable[Span], index: Mapping[str, int], rank: int) -> tuple[dict, dict]:
+    """Name-form spans as the per-root runs of :meth:`ReflectionTable.from_columns`.
+
+    The spans of one shape at a root form one run, in input order; ``index``
+    maps orbit names to indices.  Also returns that map grown by every name
+    it lacks, each given the next index, so the core refuses it as unknown.
+    """
+    runs: dict[tuple, list[str]] = {}
+    for root, edge, oo, lo in spans:
+        names = runs.setdefault((root, edge, len(oo), len(lo)), [])
+        names += oo
+        names += lo
+    labels = _Labels(index)
+    lookup = labels.__getitem__
+    columns: dict = {root: [] for root in range(1, rank + 1)}
+    for (root, *shape), names in runs.items():
+        names[:] = map(lookup, names)
+        # A root out of range enters here in input order; the core refuses it.
+        columns.setdefault(root, []).append((*shape, names))
+    return columns, labels
+
+
 class ReflectionTable:
     """Immutable orbit set with a span decomposition per simple root.
 
     Orbit k is the k-th name in sorted order.  The constructor maps the names
-    in its :class:`Span` objects to indices; the pattern builds pass indices
-    to :meth:`from_columns`.  Both enter one validating core, which checks
-    that at each root the spans partition the orbits, that slot counts match
-    each span's type, that globally open orbits only occupy open slots, and
-    (when dimensions are given) that U-spans step down one dimension.
+    in its :class:`Span` objects to indices (:func:`span_runs`); the pattern
+    and catalog builds pass index runs to :meth:`from_columns`.  Both enter
+    one validating core, which checks that at each root the spans partition
+    the orbits, that slot counts match each span's type, that globally open
+    orbits only occupy open slots, and (when dimensions are given) that
+    U-spans step down one dimension.
 
     Per root the core keeps three columns over the orbits: the reflection, a
     ``list[int]`` involution; the kind, a byte for the type and slot of the
@@ -317,19 +344,8 @@ class ReflectionTable:
     def __init__(self, orbits: Iterable[Orbit], cartan: CartanSpec, spans: Iterable[Span]) -> None:
         self._take_orbits(orbits)
         spans = spans if isinstance(spans, list) else list(spans)
-        # The spans of one shape at a root form one run, in input order.
-        runs: dict[tuple, list[str]] = {}
-        for root, edge, oo, lo in spans:
-            names = runs.setdefault((root, edge, len(oo), len(lo)), [])
-            names += oo
-            names += lo
-        labels = _Labels(self._index)
+        columns, labels = span_runs(spans, self._index, cartan.rank)
         lookup = labels.__getitem__
-        columns: dict = {root: [] for root in range(1, cartan.rank + 1)}
-        for (root, *shape), names in runs.items():
-            names[:] = map(lookup, names)
-            # A root out of range enters here in input order; the core refuses it.
-            columns.setdefault(root, []).append((*shape, names))
 
         def in_order(root):
             for at, edge, oo, lo in spans:
@@ -676,22 +692,59 @@ class ReflectionTable:
             spans.append(Span(root, edge, _json_names(entry, "open"), _json_names(entry, "lower")))
         return cls(orbits=orbits, cartan=CartanSpec.from_json(cartan_obj), spans=spans)
 
+    def iter_json(self, depth: int = 0) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json(), indent=2, ensure_ascii=False)``, in parts.
+
+        The text is nested ``depth`` levels deep, as it is inside an enclosing
+        object at that depth, and has no final newline.  The parts are the
+        orbits and Cartan data, then the spans of each root, then the close;
+        no dict is built and no part holds more than one root.
+        """
+        p0, p1, p2, p3, p4 = ("\n" + "  " * (depth + level) for level in range(5))
+        orbits = []
+        for o in self.orbits:
+            flags = f'"open": {_JSON_BOOL[o.is_open]},{p3}"max_rank": {_JSON_BOOL[o.is_max_rank]}'
+            dim = "" if o.dim is None else f',{p3}"dim": {json.dumps(o.dim)}'
+            orbits.append(f'{p2}{{{p3}"id": {encode_basestring(o.name)},{p3}{flags}{dim}{p2}}}')
+        orbits_text = f"[{','.join(orbits)}{p1}]" if orbits else "[]"
+        cartan = json.dumps(self.cartan.to_json(), indent=2, ensure_ascii=False).replace("\n", p1)
+        yield f'{{{p1}"orbits": {orbits_text},{p1}"cartan": {cartan},{p1}"spans": ['
+        comma, lower, close = f",{p4}", f'{p3}],{p3}"lower": [{p4}', f"{p3}]{p2}}}"
+        sep = ""
+        for root in self._kinds:
+            head = f'{p2}{{{p3}"root": {root},{p3}"type": '
+            start = {e: f'{head}"{e.value}",{p3}"open": [{p4}' for e in _TYPES}
+            spans = []
+            for edge, opens, lowers in self._spans_at(root, self._heads(root)):
+                text = start[edge] + comma.join(map(encode_basestring, opens))
+                if lowers:
+                    text += lower + comma.join(map(encode_basestring, lowers))
+                spans.append(text + close)
+            if spans:
+                yield sep + ",".join(spans)
+                sep = ","
+        yield f"{p1 if sep else ''}]{p0}}}"
+
+    def iter_dot(self) -> Iterator[str]:
+        """The text of :meth:`to_dot` in parts: the orbits, the edges of each root, the close."""
+        yield "graph orbits {\n" + "".join(
+            f'  "{o.name}" [shape={"doublecircle" if o.is_open else "circle"}];\n'
+            for o in self.orbits
+        )
+        names = self._names
+        for root, perm in self._reflections.items():
+            kind, labels = self._kinds[root], [f"s{root}:{edge.value}" for edge in _TYPES]
+            yield "".join(
+                f'  "{names[k]}" -- "{names[image]}" [label="{labels[kind[k] >> 2]}"];\n'
+                for k, image in enumerate(perm)
+                if image > k
+            )
+        yield "}\n"
+
     def to_dot(self) -> str:
         """Deterministic Graphviz rendering: open orbits doubled, loops omitted.
 
         Edges are the moves of each reflection, by root and then by the
         smaller orbit; index order is name order, so they come out sorted.
         """
-        lines = ["graph orbits {"]
-        for o in self.orbits:
-            shape = "doublecircle" if o.is_open else "circle"
-            lines.append(f'  "{o.name}" [shape={shape}];')
-        names = self._names
-        for root, perm in self._reflections.items():
-            kind = self._kinds[root]
-            for k, image in enumerate(perm):
-                if image > k:
-                    label = f"s{root}:{_TYPES[kind[k] >> 2].value}"
-                    lines.append(f'  "{names[k]}" -- "{names[image]}" [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.iter_dot())

@@ -8,6 +8,7 @@ from borelorbits import (
     ExampleSpec,
     IntegerMatrix,
     ReflectionTable,
+    Span,
     SphericalDatum,
     build_example,
     build_g2_case,
@@ -17,6 +18,7 @@ from borelorbits import (
     count_open_real_orbits,
     elementary_divisors,
 )
+from borelorbits import catalog as catalog_module
 from borelorbits import orbits as orbits_module
 from borelorbits.cli import main
 
@@ -299,6 +301,21 @@ def test_build_example_dispatch():
         build_example(ExampleSpec(name="torus_counterexample"))
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (ExampleSpec("g2", cartan=CartanSpec.from_label("A5")), "g2_case does not take a Cartan"),
+        (ExampleSpec("g2_case", n=3), "g2_case does not take the size parameter n"),
+        (ExampleSpec("ordered", n=3, cartan=CartanSpec.from_label("A9")), "does not take a Cartan"),
+        (ExampleSpec("unordered_pairs", n=4, cartan=CartanSpec.from_label("B4")), "a Cartan"),
+        (ExampleSpec("torus", n=7, cartan=CartanSpec.from_label("A3")), "the size parameter n"),
+    ],
+)
+def test_example_refuses_parameters_its_family_does_not_take(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_example(spec)
+
+
 def test_catalog_tables_round_trip_through_json():
     for example in (
         build_example(ExampleSpec(name="ordered", n=4)),
@@ -314,3 +331,53 @@ def test_catalog_tables_round_trip_through_json():
         if example.datum is not None:
             parsed = SphericalDatum.from_json(example.datum.to_json())
             assert parsed.spherical_roots == example.datum.spherical_roots
+
+
+# -- differential check against the name-form constructor ----------------------
+
+
+_TORUS_LABELS = [f"A{l}" for l in range(1, 10)] + [f"B{l}" for l in range(2, 8)] + ["D4", "D5"]
+_CATALOG_KEYS = (
+    [f"{family} {n}" for n in range(2, 41) for family in ("ordered_pairs", "unordered_pairs")]
+    + [f"torus {label}" for label in _TORUS_LABELS]
+    + ["g2_case"]
+)
+
+
+def _catalog_table(key):
+    family, _, arg = key.partition(" ")
+    if family == "torus":
+        return build_torus_counterexample(CartanSpec.from_label(arg))
+    if family == "g2_case":
+        return build_g2_case()
+    build = build_ordered_pairs if family == "ordered_pairs" else build_unordered_pairs
+    return build(int(arg))[1]
+
+
+@pytest.mark.parametrize("key", _CATALOG_KEYS)
+def test_catalog_table_equals_its_name_form_rebuild(key):
+    """Rebuilt from its own spans, P singletons included, by the name-form constructor."""
+    table = _catalog_table(key)
+    spans = [span for by_root in table.spans.values() for span in by_root]
+    again = ReflectionTable(table.orbits, table.cartan, spans)
+    assert again.orbits == table.orbits
+    assert again._reflections == table._reflections
+    assert again._kinds == table._kinds
+    assert again._links == table._links
+    assert again.to_json() == table.to_json()
+    assert "".join(again.iter_json()) == "".join(table.iter_json())
+    assert again.to_dot() == table.to_dot()
+    assert again.type_census() == table.type_census()
+    assert again.real_group_orbit_classes() == table.real_group_orbit_classes()
+
+
+def test_catalog_builder_naming_an_unknown_orbit_is_refused(monkeypatch):
+    """A span naming no orbit of the table reaches the core and is refused there."""
+    real = catalog_module._table
+
+    def with_stray_span(orbits, cartan, spans):
+        return real(orbits, cartan, [*spans, Span(1, EdgeType.P, ("stray",))])
+
+    monkeypatch.setattr(catalog_module, "_table", with_stray_span)
+    with pytest.raises(ValueError, match="span at root 1 names unknown orbit '#"):
+        build_ordered_pairs(3)

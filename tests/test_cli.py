@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -772,3 +774,58 @@ def test_datum_reader_accepts_or_refuses_cleanly(obj):
     except ValueError:
         return
     assert rootdata.SphericalDatum.from_json(datum.to_json()) == datum
+
+
+# -- options a table source would ignore ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("example", "g2", "--cartan", "A5"), "g2_case does not take a Cartan matrix"),
+        (("braid-check", "--example", "ordered_pairs", "--n", "3", "--cartan", "A9"),
+         "ordered_pairs does not take a Cartan matrix"),
+        (("braid-check", "--example", "torus", "--cartan", "A3", "--n", "7"),
+         "torus_counterexample does not take the size parameter n"),
+        (("braid-check", "--example", "quadratic", "--n", "3", "--r", "2", "--cartan", "B7"),
+         "example 'quadratic' does not take --cartan"),
+        (("orbits", "--example", "torus", "--cartan", "A3", "--r", "2"),
+         "example 'torus_counterexample' does not take --r"),
+        (("example", "torus", "--cartan", "A2", "--n", "3"),
+         "torus_counterexample does not take the size parameter n"),
+    ],
+)
+def test_example_options_the_family_ignores_are_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err)["error"]["message"] == message
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (("--n", "3"), "--table does not take --n"),
+        (("--r", "2", "--cartan", "A1"), "--table does not take --r, --cartan"),
+        (("--example", "g2"), "provide a table via --table FILE or --example NAME, not both"),
+    ],
+)
+def test_table_file_refuses_example_options(tmp_path, capsys, extra, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(catalog.build_g2_case().to_json()))
+    code, out, err = run_cli(capsys, "braid-check", "--table", str(path), *extra)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["message"] == message
+
+
+def test_example_output_is_written_as_it_is_made(monkeypatch):
+    """Peak traced memory of a large emit: 20.4 MB when the whole text and dict were built."""
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["example", "unordered_pairs", "--n", "40"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 2**20

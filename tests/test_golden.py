@@ -14,7 +14,11 @@ their inputs also has its decomposition checked directly.  The four-open
 JSON were recorded before the catalog builders handed their spans over as
 one flat list.  The benchmark-scale runs (``quadratic`` n = 8) and the
 (8, 6) signed and (8, 8) complex table JSON were recorded before the
-pattern tables were built in index form.  A deliberate output change
+pattern tables were built in index form.  The large catalog emits
+(``unordered_pairs`` n = 60 and the two-open n = 61, torus A6, the
+``ordered_pairs`` n = 40 DOT, the torus B10 open-orbit braid check) were
+recorded before the catalog builders stopped making one span per P cell
+and the table JSON and DOT were streamed.  A deliberate output change
 updates the digest here and says why in the change log.
 """
 
@@ -62,6 +66,11 @@ GOLDEN_CLI = {
     "example g2": "3cea23582f129763b375c692ff3cbd0c84ef781bfc516844fdd2285893dfbb0f",
     "orbits --example quadratic --n 8 --r 6 --generators 1,2,3,4,5,6,7 --format json": "a6097f17edc1f1641ec42598a8f156c813e404de3909f790f6a9dc775275cdf7",
     "braid-check --example quadratic --n 8 --r 8 --open-only": "9240722cd5adef9e2ec1285ebc035e4bbc8d239f1db45492d25b2a081b8a8f5f",
+    "example unordered_pairs --n 60": "20536ea39aa268948cf3d02b78921f0c87cbebe657a70f9610fd662dad0acaa5",
+    "example unordered_pairs --n 61": "eee3a027297405ce66c58fee236ecf201533cf563fa06331872707571f3c7e95",
+    "example torus_counterexample --cartan A6": "44ef4278acc7e7a64c4f009ebba56a3c78a02496bb2e2a5dab5ab1f00cb97a58",
+    "example ordered_pairs --n 40 --emit dot": "0cb5a6378e53393deb5c2db4ea4997e14db1580cedfab2fac6f8505b92f957b0",
+    "braid-check --example torus --cartan B10 --open-only": "35edca448fbc97d8b60ef85ecd8d42b906c0e8fbf14d3aa93cd1696ed000da70",
 }
 
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output

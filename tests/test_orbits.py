@@ -1,5 +1,7 @@
 """Reflection tables: span rules, braid checks, orbit enumeration, serialization."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from borelorbits import (
     Orbit,
     ReflectionTable,
     Span,
+    build_complex_table,
+    build_table,
 )
 
 A1 = CartanSpec.from_label("A1")
@@ -344,11 +348,11 @@ _RANDOM_CARTANS = ("A1", "A2", "A3", "A4", "B2", "B3", "D3", "D4", "G2")
 
 
 @st.composite
-def random_tables(draw):
+def random_tables(draw, alphabet="ab+-"):
     """Small tables with random span decompositions on A/B/D/G Cartan types."""
     cartan = CartanSpec.from_label(draw(st.sampled_from(_RANDOM_CARTANS)))
     names = draw(
-        st.lists(st.text("ab+-", min_size=1, max_size=3), min_size=1, max_size=12, unique=True)
+        st.lists(st.text(alphabet, min_size=1, max_size=3), min_size=1, max_size=12, unique=True)
     )
     open_names = set(draw(st.lists(st.sampled_from(names), unique=True)))
     orbits = [Orbit(name, name in open_names, name in open_names) for name in names]
@@ -423,3 +427,55 @@ def test_braid_check_matches_brute_force_oracle(table, data):
         assert str(raised.value) == str(exc)
     else:
         assert _verdicts(table.check_braid(restrict_to=opens, generators=gens)) == expected
+
+
+# -- the streamed JSON text against json.dumps of to_json ---------------------
+
+# Names that json must escape or pass through: quote, backslash, control
+# characters, DEL, non-ASCII letters, a line separator and an astral symbol.
+_AWKWARD_NAMES = 'a+"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'
+
+
+def assert_streamed_json_matches(table, depth):
+    expected = json.dumps(table.to_json(), indent=2, ensure_ascii=False)
+    parts = list(table.iter_json(depth))
+    assert "".join(parts) == expected.replace("\n", "\n" + "  " * depth)
+    # The orbits and Cartan data, one part per root, the close.
+    assert len(parts) == (table.cartan.rank + 2 if table.orbits else 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=random_tables(alphabet=_AWKWARD_NAMES), depth=st.integers(0, 3), data=st.data())
+def test_streamed_json_matches_json_dumps(table, depth, data):
+    dims = data.draw(st.lists(st.none() | st.integers(-1, 3), min_size=len(table.orbits),
+                              max_size=len(table.orbits)), label="dims")
+    spans = [span for by_root in table.spans.values() for span in by_root]
+    try:
+        orbits = [orbit._replace(dim=dim) for orbit, dim in zip(table.orbits, dims)]
+        table = ReflectionTable(orbits, table.cartan, spans)
+    except ValueError:  # a U-span whose dimensions do not step down by one
+        pass
+    assert_streamed_json_matches(table, depth)
+
+
+@pytest.mark.parametrize("signed", [True, False], ids=["signed", "complex"])
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(n + 1)])
+def test_streamed_json_of_pattern_tables(n, r, signed):
+    table = build_table(n, r) if signed else build_complex_table(n, r)
+    for depth in (0, 1):
+        assert_streamed_json_matches(table, depth)
+
+
+def test_streamed_json_of_a_table_without_orbits():
+    table = ReflectionTable([], A2, [])
+    assert table.to_json()["spans"] == []
+    assert_streamed_json_matches(table, 0)
+    assert_streamed_json_matches(table, 1)
+
+
+def test_dot_is_streamed_one_part_per_root():
+    table = build_table(4, 2)
+    parts = list(table.iter_dot())
+    assert len(parts) == table.cartan.rank + 2
+    assert "".join(parts) == table.to_dot()
+    assert parts[0].startswith("graph orbits {\n") and parts[-1] == "}\n"
