@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import islice
 
 from .catalog import ExampleSpec, build_example, canonical_example_name
 from .lattice import (
@@ -71,7 +72,21 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _emit_json(obj) -> None:
+    """Print ``obj`` as JSON, built whole: an integer too long to print leaves stdout empty."""
     print(json.dumps(obj, indent=2, ensure_ascii=False))
+
+
+def _stream_json(obj) -> None:
+    """Write ``obj`` as the text of :func:`_emit_json`, part by part as it is made.
+
+    Only for payloads of names and small ints, which cannot fail half way.
+    The encoder's chunks are joined a few thousand at a time: on an
+    unbuffered stdout (``PYTHONUNBUFFERED``) each write is a system call.
+    """
+    chunks = json.JSONEncoder(ensure_ascii=False, indent=2).iterencode(obj)
+    for part in iter(lambda: "".join(islice(chunks, 4096)), ""):
+        sys.stdout.write(part)
+    sys.stdout.write("\n")
 
 
 def _matrix_text(m: IntegerMatrix) -> str:
@@ -157,7 +172,7 @@ def _cmd_patterns(args) -> int:
     texts = [p.to_text() for p in enumerate_patterns(args.n, args.r, signed=not args.complex)]
     if args.format == "json":
         shape = {"n": args.n, "r": args.r, "signed": not args.complex}
-        _emit_json({**shape, "count": len(texts), "patterns": texts})
+        _stream_json({**shape, "count": len(texts), "patterns": texts})
     else:
         sys.stdout.write("".join(text + "\n" for text in texts))
     return 0
@@ -166,8 +181,8 @@ def _cmd_patterns(args) -> int:
 def _cmd_sylvester(args) -> int:
     classes = sylvester_classes(args.n, args.r)
     if args.format == "json":
-        blocks = [{"plus": c.plus, "minus": c.minus, "orbits": list(c.orbits)} for c in classes]
-        _emit_json({"n": args.n, "r": args.r, "classes": blocks})
+        blocks = [{"plus": c.plus, "minus": c.minus, "orbits": c.orbits} for c in classes]
+        _stream_json({"n": args.n, "r": args.r, "classes": blocks})
     else:
         for c in classes:
             print(f"({c.plus},{c.minus}):", " ".join(c.orbits))
@@ -180,7 +195,7 @@ def _cmd_braid_check(args) -> int:
     generators = None if args.generators is None else _parse_int_list(args.generators)
     report = table.check_braid(restrict_to=restrict, generators=generators)
     if args.format == "json":
-        _emit_json(report.to_json())
+        _stream_json(report.to_json())
     else:
         for pair in report.pairs:
             status = "ok" if pair.holds else f"FAIL witness={pair.witness}"
@@ -198,7 +213,7 @@ def _cmd_orbits(args) -> int:
     else:
         classes = table.real_group_orbit_classes()
     if args.format == "json":
-        _emit_json({"classes": [list(c) for c in classes]})
+        _stream_json({"classes": classes})
     else:
         sys.stdout.write("".join(" ".join(block) + "\n" for block in classes))
     return 0

@@ -534,7 +534,12 @@ class ReflectionTable:
         gens = sorted(set(generators)) if generators is not None else sorted(self._reflections)
         perms = [self._reflection(g) for g in gens]
         domain = self._resolve_domain(restrict_to, gens, perms)
-        moved = [[k for k in domain if perm[k] != k] for perm in perms]
+        # The moved points of each reflection, listed as their images: on an
+        # invariant domain an involution maps them onto themselves, and the
+        # images are the ints the reflection already holds.
+        moved = [
+            [image for k, image in enumerate(perm) if image != k and domain[k]] for perm in perms
+        ]
         results = []
         for x in range(len(gens)):
             for y in range(x + 1, len(gens)):
@@ -547,29 +552,34 @@ class ReflectionTable:
 
     def _resolve_domain(
         self, restrict_to: Iterable[str] | None, gens: Sequence[int], perms: Sequence[list[int]]
-    ) -> set[int]:
-        """The validated restriction as a set of indices; None means all orbits.
+    ) -> bytearray:
+        """The validated restriction as a membership mask, one byte per orbit; None means all.
 
         A subset is invariant when no generator carries one of its points
-        outside it; the whole orbit set always is.
+        outside it; the whole orbit set always is.  Points are scanned in
+        index order, so the first that escapes is the least.
         """
+        count = len(self._names)
         if restrict_to is None:
-            return set(range(len(self._names)))
-        subset = set(restrict_to)
-        unknown = [name for name in subset if name not in self._index]
+            return bytearray(b"\x01") * count
+        domain, index, unknown = bytearray(count), self._index, []
+        for name in restrict_to:
+            k = index.get(name)
+            if k is None:
+                unknown.append(name)
+            else:
+                domain[k] = 1
         if unknown:
             raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
-        domain = {self._index[name] for name in subset}
-        if len(domain) == len(self._names):
+        if domain.count(1) == count:
             return domain
         for g, perm in zip(gens, perms):
-            escaped = [k for k in domain if perm[k] not in domain]
-            if escaped:
-                k = min(escaped)
-                raise ValueError(
-                    f"restriction is not invariant: s_{g} moves {self._names[k]!r} to "
-                    f"{self._names[perm[k]]!r} outside the subset"
-                )
+            for k in compress(range(count), domain):
+                if not domain[perm[k]]:
+                    raise ValueError(
+                        f"restriction is not invariant: s_{g} moves {self._names[k]!r} to "
+                        f"{self._names[perm[k]]!r} outside the subset"
+                    )
         return domain
 
     # -- orbit enumeration ---------------------------------------------------
@@ -597,11 +607,11 @@ class ReflectionTable:
         closure of their open-slot swaps.
         """
         if self._real_classes is None:
-            opens = {k for k, o in enumerate(self.orbits) if o.is_open}
+            opens = bytes(map(attrgetter("is_open"), self.orbits))
             for root, perm in self._reflections.items():
                 kind = self._kinds[root]
-                for k in sorted(opens):
-                    if kind[k] >> 2 in _MOVES_OPENS and perm[k] not in opens:
+                for k in compress(range(len(opens)), opens):
+                    if kind[k] >> 2 in _MOVES_OPENS and not opens[perm[k]]:
                         raise ValueError(
                             f"T/N reflection s_{root} maps open orbit to non-open "
                             f"within span {self.span_of(self._names[k], root).open_orbits}; "
@@ -612,25 +622,29 @@ class ReflectionTable:
             self._real_classes = self._classes(opens, list(self._reflections.values()))
         return self._real_classes
 
-    def _classes(self, domain: set[int], perms: list[list[int]]) -> tuple[tuple[str, ...], ...]:
-        """Sorted components of ``domain`` under the moves that stay inside it."""
-        unvisited = set(domain)
+    def _classes(self, domain: bytes, perms: list[list[int]]) -> tuple[tuple[str, ...], ...]:
+        """Sorted components of the orbits marked in the mask ``domain``, under moves inside it.
+
+        Start points are taken in index order, each unless an earlier
+        component holds it, so each component starts at its least point and
+        the components come out sorted.
+        """
+        names, seen = self._names, bytearray(len(domain))
         classes = []
-        while unvisited:
-            start = unvisited.pop()
-            block = {start}
-            queue = [start]
-            while queue:
-                current = queue.pop()
+        for start in compress(range(len(domain)), domain):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            block = [start]
+            for current in block:
                 for perm in perms:
                     image = perm[current]
-                    if image not in block and image in domain:
-                        block.add(image)
-                        queue.append(image)
-            unvisited -= block
-            classes.append(sorted(block))
-        classes.sort()
-        return tuple(tuple(self._names[k] for k in block) for block in classes)
+                    if domain[image] and not seen[image]:
+                        seen[image] = 1
+                        block.append(image)
+            block.sort()
+            classes.append(tuple(map(names.__getitem__, block)))
+        return tuple(classes)
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -339,7 +339,17 @@ def _head_of(x: int, y: int, px: int, py: int, i: int) -> int:
 
 
 def _build(n: int, r: int, patterns) -> ReflectionTable:
-    """The table of ``patterns`` (entry text and arcs of each), of rank r, in index form.
+    """The table of ``patterns`` (entry text and arcs of each), of rank r.
+
+    The columns are made in a frame of their own, whose records and lookup
+    dict are freed before the table is validated.
+    """
+    orbits, columns = _index_columns(n, r, patterns)
+    return ReflectionTable.from_columns(orbits, CartanSpec.from_type("A", n - 1), columns)
+
+
+def _index_columns(n: int, r: int, patterns) -> tuple[list[Orbit], dict]:
+    """The orbits of ``patterns`` in name order and their per-root runs, in index form.
 
     The byte records, in name order, are laid end to end.  At root i two
     extended-slice swaps of record columns and one ``bytes.translate`` that
@@ -405,7 +415,7 @@ def _build(n: int, r: int, patterns) -> ReflectionTable:
                 for slot, column in enumerate(slots):
                     members[slot :: len(slots)] = column
                 runs.append((edge, opens, len(slots) - opens, members))
-    return ReflectionTable.from_columns(orbits, CartanSpec.from_type("A", n - 1), columns)
+    return orbits, columns
 
 
 # Built tables by (n, r, signed), held weakly: callers holding a table share

@@ -18,7 +18,11 @@ pattern tables were built in index form.  The large catalog emits
 (``unordered_pairs`` n = 60 and the two-open n = 61, torus A6, the
 ``ordered_pairs`` n = 40 DOT, the torus B10 open-orbit braid check) were
 recorded before the catalog builders stopped making one span per P cell
-and the table JSON and DOT were streamed.  A deliberate output change
+and the table JSON and DOT were streamed.  The largest quadratic runs
+(``orbits`` n = 9, r = 6 over eight generators and ``sylvester`` n = r = 9,
+both JSON) were recorded before the pattern build freed its scaffolding
+before validation, orbit domains became byte masks and the command JSON was
+written as it is made.  A deliberate output change
 updates the digest here and says why in the change log.
 """
 
@@ -71,6 +75,8 @@ GOLDEN_CLI = {
     "example torus_counterexample --cartan A6": "44ef4278acc7e7a64c4f009ebba56a3c78a02496bb2e2a5dab5ab1f00cb97a58",
     "example ordered_pairs --n 40 --emit dot": "0cb5a6378e53393deb5c2db4ea4997e14db1580cedfab2fac6f8505b92f957b0",
     "braid-check --example torus --cartan B10 --open-only": "35edca448fbc97d8b60ef85ecd8d42b906c0e8fbf14d3aa93cd1696ed000da70",
+    "orbits --example quadratic --n 9 --r 6 --generators 1,2,3,4,5,6,7,8 --format json": "d5c39d3aea6cf89acaaf32f9821ff2812b7b01c7789b26ae1d0b22dc2d52818b",
+    "sylvester --n 9 --r 9 --format json": "8fe1e1a3b21779933fa550a2f9d674c02e6468291558dbc373cb404c8fe0e55e",
 }
 
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no output

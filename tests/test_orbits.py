@@ -1,6 +1,7 @@
 """Reflection tables: span rules, braid checks, orbit enumeration, serialization."""
 
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -427,6 +428,87 @@ def test_braid_check_matches_brute_force_oracle(table, data):
         assert str(raised.value) == str(exc)
     else:
         assert _verdicts(table.check_braid(restrict_to=opens, generators=gens)) == expected
+
+
+def _components(perms, members):
+    """Sorted components of the names ``members`` under the name dicts ``perms``, breadth first."""
+    seen, classes = set(), []
+    for start in sorted(members):
+        if start in seen:
+            continue
+        seen.add(start)
+        block, queue = [start], deque([start])
+        while queue:
+            name = queue.popleft()
+            for perm in perms:
+                image = perm[name]
+                if image in members and image not in seen:
+                    seen.add(image)
+                    block.append(image)
+                    queue.append(image)
+        classes.append(tuple(sorted(block)))
+    return tuple(sorted(classes))
+
+
+def subgroup_orbits_oracle(table, generators, domain):
+    """Orbits of ⟨s_g⟩ on ``domain``, refused as the table refuses an unknown or escaping name."""
+    gens = sorted(set(generators))
+    perms = {g: table.reflection_permutation(g) for g in gens}
+    members = set(domain)
+    unknown = members - set(table.orbit_names)
+    if unknown:
+        raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
+    for g in gens:
+        for name in sorted(members):
+            image = perms[g][name]
+            if image not in members:
+                raise ValueError(
+                    f"restriction is not invariant: s_{g} moves {name!r} to "
+                    f"{image!r} outside the subset"
+                )
+    return _components(perms.values(), members)
+
+
+def real_classes_oracle(table):
+    """Components of the open orbits under the moves between open orbits, T2/N2 checked first."""
+    roots = range(1, table.cartan.rank + 1)
+    perms = {root: table.reflection_permutation(root) for root in roots}
+    opens = {o.name for o in table.orbits if o.is_open}
+    for root in roots:
+        for name in sorted(opens):
+            span = table.span_of(name, root)
+            if span.type in (EdgeType.T2, EdgeType.N2) and perms[root][name] not in opens:
+                raise ValueError(
+                    f"T/N reflection s_{root} maps open orbit to non-open "
+                    f"within span {span.open_orbits}; table is inconsistent"
+                )
+    return _components(perms.values(), opens)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=random_tables(), data=st.data())
+def test_orbit_classes_match_breadth_first_oracle(table, data):
+    gens = data.draw(st.lists(st.integers(1, table.cartan.rank)), label="generators")
+    names = table.orbit_names
+    blocks = subgroup_orbits_oracle(table, gens, names)
+    union = [name for block in data.draw(st.sets(st.sampled_from(blocks))) for name in block]
+    arbitrary = data.draw(st.lists(st.sampled_from(names)), label="subset")
+    strangers = data.draw(st.lists(st.text("abc+-", min_size=1, max_size=4)), label="strangers")
+    mixed = data.draw(st.permutations(arbitrary + arbitrary + strangers), label="mixed")
+    for domain in (names, list(reversed(names)), union, arbitrary, mixed):
+        assert _outcome(lambda: table.subgroup_orbits(gens, domain)) == _outcome(
+            lambda: subgroup_orbits_oracle(table, gens, domain)
+        )
+    assert _outcome(table.real_group_orbit_classes) == _outcome(
+        lambda: real_classes_oracle(table)
+    )
 
 
 # -- the streamed JSON text against json.dumps of to_json ---------------------
