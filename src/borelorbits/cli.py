@@ -20,7 +20,7 @@ import re
 import sys
 from itertools import islice
 
-from .catalog import ExampleSpec, build_example, canonical_example_name
+from .catalog import EXAMPLE_NAMES, ExampleSpec, build_example, canonical_example_name
 from .lattice import (
     IntegerMatrix,
     count_open_real_orbits,
@@ -126,7 +126,7 @@ def _load_table(args) -> ReflectionTable:
 
 def _add_table_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--table", help="reflection table JSON file, or - for stdin")
-    names = "ordered_pairs, unordered_pairs, torus_counterexample, g2_case, quadratic"
+    names = ", ".join((*EXAMPLE_NAMES, "quadratic"))
     parser.add_argument("--example", help=f"catalog example name ({names})")
     parser.add_argument("--n", type=int, help="size parameter for the example")
     parser.add_argument("--r", type=int, help="rank parameter (quadratic example)")
@@ -221,13 +221,13 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_example(args) -> int:
     cartan = _parse_cartan(args.cartan) if args.cartan else None
-    example = build_example(ExampleSpec(canonical_example_name(args.name), args.n, cartan))
+    example = build_example(ExampleSpec(args.name, args.n, cartan))
     # Written as it is made: the text of a large table is never held whole.
     if args.emit == "dot":
         sys.stdout.writelines(example.table.iter_dot())
         return 0
     sys.stdout.write(f'{{\n  "name": {json.dumps(example.name)},\n  "table": ')
-    sys.stdout.writelines(example.table.iter_json(depth=1))
+    sys.stdout.writelines(part.replace("\n", "\n  ") for part in example.table.iter_json())
     if example.datum is not None:
         datum = json.dumps(example.datum.to_json(), indent=2, ensure_ascii=False)
         sys.stdout.write(',\n  "datum": ' + datum.replace("\n", "\n  "))
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=("all", "open"), default="all", help=domain_help)
 
     p = sub.add_parser("example", help="emit a catalog example")
-    p.add_argument("name", help="ordered_pairs, unordered_pairs, torus_counterexample, g2_case")
+    p.add_argument("name", help=", ".join(EXAMPLE_NAMES))
     p.add_argument("--n", type=int, help="size parameter")
     p.add_argument("--cartan", help="Cartan label like A2, or a JSON file/-")
     p.add_argument("--emit", choices=("json", "dot"), default="json")

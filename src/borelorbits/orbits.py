@@ -150,16 +150,6 @@ class Span(NamedTuple):
         members = self.open_orbits + self.lower_orbits
         return [(members[a], members[b]) for a, b in _SLOTS[self.type][2]]
 
-    def to_json(self) -> dict:
-        return _span_json(self.root, self.type, list(self.open_orbits), list(self.lower_orbits))
-
-
-def _span_json(root: int, edge: EdgeType, opens: list[str], lowers: list[str]) -> dict:
-    out = {"root": root, "type": edge.value, "open": opens}
-    if lowers:
-        out["lower"] = lowers
-    return out
-
 
 @dataclass(frozen=True)
 class BraidPair:
@@ -221,15 +211,6 @@ class TypeCensus:
 
     counts: Mapping[int, Mapping[EdgeType, int]]
     t2_on_max_rank: bool
-
-    def to_json(self) -> dict:
-        return {
-            "counts": {
-                str(root): {t.value: n for t, n in sorted(by_type.items(), key=lambda kv: kv[0].value)}
-                for root, by_type in sorted(self.counts.items())
-            },
-            "t2_on_max_rank": self.t2_on_max_rank,
-        }
 
 
 def _json_int(value, what: str) -> int:
@@ -413,7 +394,6 @@ class ReflectionTable:
                 raise self._fault(root, in_order(root), labels, is_open, dims)
             self._reflections[root], self._links[root], self._kinds[root] = made
         self.cartan = cartan
-        self._real_classes: tuple[tuple[str, ...], ...] | None = None
 
     def _fault(self, root: int, spans, labels: Sequence[str], is_open: bytes, dims) -> ValueError:
         """Why the spans at ``root`` are refused: the first faulty one in input order.
@@ -606,21 +586,19 @@ class ReflectionTable:
         spans actually move open orbits, so the partition is the transitive
         closure of their open-slot swaps.
         """
-        if self._real_classes is None:
-            opens = bytes(map(attrgetter("is_open"), self.orbits))
-            for root, perm in self._reflections.items():
-                kind = self._kinds[root]
-                for k in compress(range(len(opens)), opens):
-                    if kind[k] >> 2 in _MOVES_OPENS and not opens[perm[k]]:
-                        raise ValueError(
-                            f"T/N reflection s_{root} maps open orbit to non-open "
-                            f"within span {self.span_of(self._names[k], root).open_orbits}; "
-                            "table is inconsistent"
-                        )
-            # A U-span carries an open orbit to a lower one, so the moves that
-            # stay among the open orbits are exactly those swaps.
-            self._real_classes = self._classes(opens, list(self._reflections.values()))
-        return self._real_classes
+        opens = bytes(map(attrgetter("is_open"), self.orbits))
+        for root, perm in self._reflections.items():
+            kind = self._kinds[root]
+            for k in compress(range(len(opens)), opens):
+                if kind[k] >> 2 in _MOVES_OPENS and not opens[perm[k]]:
+                    raise ValueError(
+                        f"T/N reflection s_{root} maps open orbit to non-open "
+                        f"within span {self.span_of(self._names[k], root).open_orbits}; "
+                        "table is inconsistent"
+                    )
+        # A U-span carries an open orbit to a lower one, so the moves that
+        # stay among the open orbits are exactly those swaps.
+        return self._classes(opens, list(self._reflections.values()))
 
     def _classes(self, domain: bytes, perms: list[list[int]]) -> tuple[tuple[str, ...], ...]:
         """Sorted components of the orbits marked in the mask ``domain``, under moves inside it.
@@ -661,14 +639,8 @@ class ReflectionTable:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        orbit_objs = []
-        for o in self.orbits:
-            entry = {"id": o.name, "open": o.is_open, "max_rank": o.is_max_rank}
-            if o.dim is not None:
-                entry["dim"] = o.dim
-            orbit_objs.append(entry)
-        spans = [_span_json(r, *s) for r in self._kinds for s in self._spans_at(r, self._heads(r))]
-        return {"orbits": orbit_objs, "cartan": self.cartan.to_json(), "spans": spans}
+        """The table JSON as a dict: the parse of the text :meth:`iter_json` writes."""
+        return json.loads("".join(self.iter_json()))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ReflectionTable":
@@ -706,15 +678,17 @@ class ReflectionTable:
             spans.append(Span(root, edge, _json_names(entry, "open"), _json_names(entry, "lower")))
         return cls(orbits=orbits, cartan=CartanSpec.from_json(cartan_obj), spans=spans)
 
-    def iter_json(self, depth: int = 0) -> Iterator[str]:
-        """The text of ``json.dumps(self.to_json(), indent=2, ensure_ascii=False)``, in parts.
+    def iter_json(self) -> Iterator[str]:
+        """The table JSON text, as ``json.dumps(..., indent=2, ensure_ascii=False)`` lays it out.
 
-        The text is nested ``depth`` levels deep, as it is inside an enclosing
-        object at that depth, and has no final newline.  The parts are the
-        orbits and Cartan data, then the spans of each root, then the close;
-        no dict is built and no part holds more than one root.
+        The object has ``orbits`` (``id``, ``open``, ``max_rank`` and ``dim``
+        when known), ``cartan`` and ``spans`` (``root``, ``type``, ``open``
+        and ``lower`` when the type has lower slots), spans by root and then
+        by first open orbit.  The parts are the orbits and Cartan data, the
+        spans of each root, then the close, with no final newline; no dict is
+        built and no part holds more than one root.
         """
-        p0, p1, p2, p3, p4 = ("\n" + "  " * (depth + level) for level in range(5))
+        p0, p1, p2, p3, p4 = ("\n" + "  " * level for level in range(5))
         orbits = []
         for o in self.orbits:
             flags = f'"open": {_JSON_BOOL[o.is_open]},{p3}"max_rank": {_JSON_BOOL[o.is_max_rank]}'

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lattice import IntegerMatrix
+from .lattice import IntegerMatrix, _as_int
 
 _COXETER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -115,9 +115,8 @@ class CartanSpec:
 
     def __post_init__(self) -> None:
         check_rank(len(self.matrix))
-        object.__setattr__(
-            self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
-        )
+        matrix = tuple(tuple(_as_int(x, "Cartan entries") for x in row) for row in self.matrix)
+        object.__setattr__(self, "matrix", matrix)
         _validate_cartan(self.matrix)
 
     @classmethod
@@ -136,7 +135,7 @@ class CartanSpec:
 
     @classmethod
     def from_matrix(cls, rows) -> "CartanSpec":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def rank(self) -> int:
@@ -217,11 +216,10 @@ class SphericalDatum:
     weight_sublattice: IntegerMatrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "spherical_roots",
-            tuple(tuple(int(x) for x in v) for v in self.spherical_roots),
+        roots = tuple(
+            tuple(_as_int(x, "spherical root entries") for x in v) for v in self.spherical_roots
         )
+        object.__setattr__(self, "spherical_roots", roots)
         rank = self.cartan.rank
         for v in self.spherical_roots:
             if len(v) != rank:

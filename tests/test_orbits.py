@@ -266,6 +266,28 @@ def test_table_construction_errors():
         ReflectionTable(orbits, A1, [Span(1, EdgeType.U, ("O",), ("O",))])
 
 
+@pytest.mark.parametrize(
+    "spans,message",
+    [
+        (
+            [(EdgeType.P, ("a",), ()), (EdgeType.U, ("b",), ("b",)), (EdgeType.P, ("a",), ())],
+            "span members must be distinct, got ('b', 'b')",
+        ),
+        (
+            [(EdgeType.U, ("b",), ("c",)), (EdgeType.P, ("b",), ()), (EdgeType.U, ("a",), ("a",))],
+            "orbit 'b' appears in two spans at root 1",
+        ),
+    ],
+    ids=["distinct-before-repeat", "repeat-before-distinct"],
+)
+def test_refusal_names_the_first_faulty_span_in_input_order(spans, message):
+    # Each table has two faults; grouping the spans by shape would name the later one.
+    orbits = [Orbit(name) for name in "abc"]
+    with pytest.raises(ValueError) as refused:
+        ReflectionTable(orbits, A1, [Span(1, edge, oo, lo) for edge, oo, lo in spans])
+    assert str(refused.value) == message
+
+
 def test_index_columns_enter_the_same_checks():
     orbits = [Orbit("O"), Orbit("Q")]
     table = ReflectionTable.from_columns(orbits, A1, {1: [(EdgeType.U, 1, 1, [1, 0])]})
@@ -511,24 +533,43 @@ def test_orbit_classes_match_breadth_first_oracle(table, data):
     )
 
 
-# -- the streamed JSON text against json.dumps of to_json ---------------------
+# -- the streamed JSON text against an independent dict writer ---------------
 
 # Names that json must escape or pass through: quote, backslash, control
 # characters, DEL, non-ASCII letters, a line separator and an astral symbol.
 _AWKWARD_NAMES = 'a+"\\\x00\x1f\x7f\u00e9\u2028\U0001d11e'
 
 
-def assert_streamed_json_matches(table, depth):
-    expected = json.dumps(table.to_json(), indent=2, ensure_ascii=False)
-    parts = list(table.iter_json(depth))
-    assert "".join(parts) == expected.replace("\n", "\n" + "  " * depth)
+def reference_json(table):
+    """The table JSON format as a dict, written from the public orbits and spans."""
+    orbits = []
+    for o in table.orbits:
+        entry = {"id": o.name, "open": o.is_open, "max_rank": o.is_max_rank}
+        if o.dim is not None:
+            entry["dim"] = o.dim
+        orbits.append(entry)
+    spans = []
+    for by_root in table.spans.values():
+        for span in by_root:
+            entry = {"root": span.root, "type": span.type.value, "open": list(span.open_orbits)}
+            if span.lower_orbits:
+                entry["lower"] = list(span.lower_orbits)
+            spans.append(entry)
+    return {"orbits": orbits, "cartan": table.cartan.to_json(), "spans": spans}
+
+
+def assert_streamed_json_matches(table):
+    expected = reference_json(table)
+    parts = list(table.iter_json())
+    assert "".join(parts) == json.dumps(expected, indent=2, ensure_ascii=False)
+    assert table.to_json() == expected
     # The orbits and Cartan data, one part per root, the close.
     assert len(parts) == (table.cartan.rank + 2 if table.orbits else 2)
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=random_tables(alphabet=_AWKWARD_NAMES), depth=st.integers(0, 3), data=st.data())
-def test_streamed_json_matches_json_dumps(table, depth, data):
+@given(table=random_tables(alphabet=_AWKWARD_NAMES), data=st.data())
+def test_streamed_json_matches_json_dumps(table, data):
     dims = data.draw(st.lists(st.none() | st.integers(-1, 3), min_size=len(table.orbits),
                               max_size=len(table.orbits)), label="dims")
     spans = [span for by_root in table.spans.values() for span in by_root]
@@ -537,22 +578,20 @@ def test_streamed_json_matches_json_dumps(table, depth, data):
         table = ReflectionTable(orbits, table.cartan, spans)
     except ValueError:  # a U-span whose dimensions do not step down by one
         pass
-    assert_streamed_json_matches(table, depth)
+    assert_streamed_json_matches(table)
 
 
 @pytest.mark.parametrize("signed", [True, False], ids=["signed", "complex"])
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(n + 1)])
 def test_streamed_json_of_pattern_tables(n, r, signed):
     table = build_table(n, r) if signed else build_complex_table(n, r)
-    for depth in (0, 1):
-        assert_streamed_json_matches(table, depth)
+    assert_streamed_json_matches(table)
 
 
 def test_streamed_json_of_a_table_without_orbits():
     table = ReflectionTable([], A2, [])
     assert table.to_json()["spans"] == []
-    assert_streamed_json_matches(table, 0)
-    assert_streamed_json_matches(table, 1)
+    assert_streamed_json_matches(table)
 
 
 def test_dot_is_streamed_one_part_per_root():

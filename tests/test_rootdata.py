@@ -212,6 +212,27 @@ def test_spherical_datum_validation():
         SphericalDatum(cartan, ((1, 0),), IntegerMatrix.from_rows([[1, 2], [2, 4]]))
 
 
+@pytest.mark.parametrize(
+    "rows,shown", [([[2.9, "-1"], [-1, 2]], "2.9"), ([[2, "-1"], [-1, 2]], "'-1'"),
+                   ([[True, -1], [-1, 2]], "True")],
+    ids=["float", "string", "bool"],
+)
+def test_cartan_entries_must_be_exact_integers(rows, shown):
+    # Read with int() these would pass as A2.
+    with pytest.raises(ValueError, match=f"Cartan entries must be exact integers, got {shown}"):
+        CartanSpec.from_matrix(rows)
+    with pytest.raises(ValueError, match="Cartan entries must be exact integers"):
+        CartanSpec(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize(
+    "entry", [1.5, 1.0, "1", True], ids=["float", "whole-float", "string", "bool"]
+)
+def test_spherical_root_entries_must_be_exact_integers(entry):
+    with pytest.raises(ValueError, match="spherical root entries must be exact integers"):
+        SphericalDatum(CartanSpec.from_label("A2"), ((entry, 0),), IntegerMatrix.identity(2))
+
+
 def test_cartan_json_round_trip():
     labelled = CartanSpec.from_label("B4")
     assert labelled.to_json() == {"type": "B", "rank": 4}
