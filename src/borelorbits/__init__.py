@@ -14,54 +14,57 @@ The library computes, from combinatorial input data:
   (:mod:`borelorbits.patterns`);
 * ready-made tables for the ordered/unordered isotropic-pair families and
   the torus sign-flip (counter)examples (:mod:`borelorbits.catalog`).
-"""
 
-from .catalog import (
-    CatalogExample,
-    ExampleSpec,
-    build_example,
-    build_g2_case,
-    build_ordered_pairs,
-    build_torus_counterexample,
-    build_unordered_pairs,
-)
-from .lattice import (
-    DivisorList,
-    IntegerMatrix,
-    SnfDecomposition,
-    count_open_real_orbits,
-    elementary_divisors,
-    sign_coordinates,
-    smith_normal_form,
-)
-from .orbits import (
-    BraidPair,
-    BraidReport,
-    EdgeType,
-    Orbit,
-    ReflectionTable,
-    Span,
-    TypeCensus,
-)
-from .patterns import (
-    SignedPattern,
-    SylvesterClass,
-    build_complex_table,
-    build_table,
-    enumerate_patterns,
-    pattern_count,
-    sylvester_classes,
-)
-from .rootdata import CartanSpec, SphericalDatum
+The submodules are loaded lazily: each is in ``sys.modules`` and is an
+attribute of the package from the start, but its code runs on the first use
+of one of its attributes, so a command runs only the modules it calls.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BraidPair", "BraidReport", "CartanSpec", "CatalogExample", "DivisorList", "EdgeType",
-    "ExampleSpec", "IntegerMatrix", "Orbit", "ReflectionTable", "SignedPattern",
-    "SnfDecomposition", "Span", "SphericalDatum", "SylvesterClass", "TypeCensus",
-    "build_complex_table", "build_example", "build_g2_case", "build_ordered_pairs", "build_table",
-    "build_torus_counterexample", "build_unordered_pairs", "count_open_real_orbits",
-    "elementary_divisors", "enumerate_patterns", "pattern_count", "sign_coordinates",
-    "smith_normal_form", "sylvester_classes",
-]
+# The catalog's example families, here so that the CLI parser can list them
+# without running the catalog module.
+EXAMPLE_NAMES = ("ordered_pairs", "unordered_pairs", "torus_counterexample", "g2_case")
+
+# Each re-exported name and the submodule that defines it.
+_ORIGIN = {
+    name: module
+    for module, names in {
+        "catalog": "CatalogExample ExampleSpec build_example build_g2_case build_ordered_pairs "
+        "build_torus_counterexample build_unordered_pairs",
+        "lattice": "DivisorList IntegerMatrix SnfDecomposition count_open_real_orbits "
+        "elementary_divisors sign_coordinates smith_normal_form",
+        "orbits": "BraidPair BraidReport EdgeType Orbit ReflectionTable Span TypeCensus",
+        "patterns": "SignedPattern SylvesterClass build_complex_table build_table "
+        "enumerate_patterns pattern_count sylvester_classes",
+        "rootdata": "CartanSpec SphericalDatum",
+    }.items()
+    for name in names.split()
+}
+__all__ = sorted(_ORIGIN)
+
+
+def _register_lazily(names) -> None:
+    """Put each submodule in ``sys.modules`` and the package without running its code."""
+    import importlib.util
+    import sys
+
+    for name in names:
+        spec = importlib.util.find_spec(f"{__name__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = globals()[name] = module
+        spec.loader.exec_module(module)
+
+
+_register_lazily(sorted(set(_ORIGIN.values())))
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_ORIGIN[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -39,6 +39,7 @@ import itertools
 from dataclasses import dataclass
 from operator import attrgetter
 
+from . import EXAMPLE_NAMES
 from .lattice import IntegerMatrix, count_open_real_orbits, elementary_divisors
 from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count, span_runs
 from .rootdata import CartanSpec, SphericalDatum
@@ -66,8 +67,6 @@ _ALIASES = {
     "torus": "torus_counterexample",
     "g2": "g2_case",
 }
-
-EXAMPLE_NAMES = ("ordered_pairs", "unordered_pairs", "torus_counterexample", "g2_case")
 
 
 def canonical_example_name(name: str) -> str:

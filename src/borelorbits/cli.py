@@ -20,17 +20,9 @@ import re
 import sys
 from itertools import islice
 
-from .catalog import EXAMPLE_NAMES, ExampleSpec, build_example, canonical_example_name
-from .lattice import (
-    IntegerMatrix,
-    count_open_real_orbits,
-    elementary_divisors,
-    sign_coordinates,
-    smith_normal_form,
-)
-from .orbits import ReflectionTable
-from .patterns import build_table, enumerate_patterns, sylvester_classes
-from .rootdata import CartanSpec
+# Submodule attributes are read inside the commands: each command runs only
+# the modules it uses, and a function replaced on a module is the one called.
+from . import EXAMPLE_NAMES, catalog, lattice, orbits, patterns, rootdata
 
 _LABEL_RE = re.compile(r"^[A-Ga-g][0-9]+$")
 
@@ -48,10 +40,10 @@ def _read_json(path: str):
         raise ValueError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
-def _parse_cartan(text: str) -> CartanSpec:
+def _parse_cartan(text: str) -> rootdata.CartanSpec:
     if _LABEL_RE.match(text.strip()):
-        return CartanSpec.from_label(text.strip())
-    return CartanSpec.from_json(_read_json(text))
+        return rootdata.CartanSpec.from_label(text.strip())
+    return rootdata.CartanSpec.from_json(_read_json(text))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -89,7 +81,7 @@ def _stream_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _matrix_text(m: IntegerMatrix) -> str:
+def _matrix_text(m: lattice.IntegerMatrix) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in m.entries)
 
 
@@ -104,23 +96,23 @@ def _refuse_unused(args, source: str, takes: tuple[str, ...]) -> None:
         raise ValueError(f"{source} does not take {', '.join(unused)}")
 
 
-def _load_table(args) -> ReflectionTable:
+def _load_table(args) -> orbits.ReflectionTable:
     if args.table and args.example:
         raise ValueError("provide a table via --table FILE or --example NAME, not both")
     if args.table:
         _refuse_unused(args, "--table", ())
-        return ReflectionTable.from_json(_read_json(args.table))
+        return orbits.ReflectionTable.from_json(_read_json(args.table))
     if args.example:
         name = args.example.strip().lower()
         if name == "quadratic":
             _refuse_unused(args, "example 'quadratic'", ("n", "r"))
             if args.n is None or args.r is None:
                 raise ValueError("example 'quadratic' needs --n and --r")
-            return build_table(args.n, args.r)
-        name = canonical_example_name(name)
+            return patterns.build_table(args.n, args.r)
+        name = catalog.canonical_example_name(name)
         _refuse_unused(args, f"example {name!r}", ("n", "cartan"))
         cartan = _parse_cartan(args.cartan) if args.cartan else None
-        return build_example(ExampleSpec(name, args.n, cartan)).table
+        return catalog.build_example(catalog.ExampleSpec(name, args.n, cartan)).table
     raise ValueError("provide a table via --table FILE or --example NAME")
 
 
@@ -137,8 +129,8 @@ def _add_table_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_snf(args) -> int:
-    matrix = IntegerMatrix.from_json(_read_json(args.matrix))
-    snf = smith_normal_form(matrix)
+    matrix = lattice.IntegerMatrix.from_json(_read_json(args.matrix))
+    snf = lattice.smith_normal_form(matrix)
     if args.format == "json":
         _emit_json(snf.to_json())
     else:
@@ -149,7 +141,8 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_divisors(args) -> int:
-    divisors = elementary_divisors(IntegerMatrix.from_json(_read_json(args.matrix)))
+    matrix = lattice.IntegerMatrix.from_json(_read_json(args.matrix))
+    divisors = lattice.elementary_divisors(matrix)
     if args.format == "json":
         _emit_json({"divisors": list(divisors)})
     else:
@@ -159,9 +152,9 @@ def _cmd_divisors(args) -> int:
 
 def _cmd_count_open(args) -> int:
     divisors = _parse_int_list(args.divisors)
-    count = count_open_real_orbits(divisors)
+    count = lattice.count_open_real_orbits(divisors)
     if args.format == "json":
-        coordinates = list(sign_coordinates(divisors))
+        coordinates = list(lattice.sign_coordinates(divisors))
         _emit_json({"divisors": divisors, "count": count, "sign_coordinates": coordinates})
     else:
         print(count)
@@ -169,9 +162,10 @@ def _cmd_count_open(args) -> int:
 
 
 def _cmd_patterns(args) -> int:
-    texts = [p.to_text() for p in enumerate_patterns(args.n, args.r, signed=not args.complex)]
+    signed = not args.complex
+    texts = [p.to_text() for p in patterns.enumerate_patterns(args.n, args.r, signed=signed)]
     if args.format == "json":
-        shape = {"n": args.n, "r": args.r, "signed": not args.complex}
+        shape = {"n": args.n, "r": args.r, "signed": signed}
         _stream_json({**shape, "count": len(texts), "patterns": texts})
     else:
         sys.stdout.write("".join(text + "\n" for text in texts))
@@ -179,7 +173,7 @@ def _cmd_patterns(args) -> int:
 
 
 def _cmd_sylvester(args) -> int:
-    classes = sylvester_classes(args.n, args.r)
+    classes = patterns.sylvester_classes(args.n, args.r)
     if args.format == "json":
         blocks = [{"plus": c.plus, "minus": c.minus, "orbits": c.orbits} for c in classes]
         _stream_json({"n": args.n, "r": args.r, "classes": blocks})
@@ -205,6 +199,8 @@ def _cmd_braid_check(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    if args.domain is not None and args.generators is None:
+        raise ValueError("--domain needs --generators")
     table = _load_table(args)
     if args.generators is not None:
         generators = _parse_int_list(args.generators)
@@ -221,7 +217,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_example(args) -> int:
     cartan = _parse_cartan(args.cartan) if args.cartan else None
-    example = build_example(ExampleSpec(args.name, args.n, cartan))
+    example = catalog.build_example(catalog.ExampleSpec(args.name, args.n, cartan))
     # Written as it is made: the text of a large table is never held whole.
     if args.emit == "dot":
         sys.stdout.writelines(example.table.iter_dot())
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_source(p)
     p.add_argument("--generators", help="comma-separated root indices (subgroup orbits)")
     domain_help = "domain for --generators (default all orbits)"
-    p.add_argument("--domain", choices=("all", "open"), default="all", help=domain_help)
+    p.add_argument("--domain", choices=("all", "open"), help=domain_help)
 
     p = sub.add_parser("example", help="emit a catalog example")
     p.add_argument("name", help=", ".join(EXAMPLE_NAMES))

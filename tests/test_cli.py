@@ -292,6 +292,14 @@ def test_orbits_subgroup(capsys):
     assert json.loads(out) == {"classes": [["++", "+-", "-+", "--"]]}
 
 
+@pytest.mark.parametrize("domain", ["open", "all"])
+def test_orbits_refuses_a_domain_without_generators(capsys, domain):
+    argv = ("orbits", "--example", "quadratic", "--n", "3", "--r", "2", "--domain", domain)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["message"] == "--domain needs --generators"
+
+
 def test_example_json_parses_back(capsys):
     code, out, _ = run_cli(capsys, "example", "unordered_pairs", "--n", "4")
     assert code == 0
