@@ -117,16 +117,14 @@ def _coeff_vector(n: int, *terms: tuple[int, int]) -> list[int]:
 
 def _table(orbits: list[Orbit], cartan: CartanSpec, spans: list[Span]) -> ReflectionTable:
     """The table of ``spans``, with a P span for every (root, orbit) cell they leave uncovered."""
-    orbits.sort(key=attrgetter("name"))  # index order; the table's own sort then finds it sorted
-    count = len(orbits)
-    index = dict(zip(map(attrgetter("name"), orbits), range(count)))
-    columns, labels = span_runs(spans, index, cartan.rank)
+    orbits.sort(key=attrgetter("name"))  # index order, as from_columns takes it
+    columns, index = span_runs(spans, [*map(attrgetter("name"), orbits)], cartan.rank)
     for runs in columns.values():
-        uncovered = bytearray(b"\x01") * len(labels)
+        uncovered = bytearray(b"\x01") * len(index)
         for *_, members in runs:
             for k in members:
                 uncovered[k] = 0
-        runs.append((EdgeType.P, 1, 0, list(itertools.compress(range(count), uncovered))))
+        runs.append((EdgeType.P, 1, 0, list(itertools.compress(range(len(orbits)), uncovered))))
     return ReflectionTable.from_columns(orbits, cartan, columns)
 
 

@@ -303,11 +303,11 @@ def _diagonalize(a: list[list[int]], nrows: int, ncols: int) -> list[int]:
     one pair at a time: diag(x, y) turns into diag(gcd, lcm).
 
     Because every pass keeps its Hermite form reduced, the transforms stay
-    near the size of the answer.  Let H be the bit size of the Hadamard
-    bound on |det|.  On nonsingular n x n matrices with entries in
-    [-50, 50], the entries of u and v stay within 3 H + log2(n) + 8 bits
-    (the seeded dense 48 x 48 matrices of the benchmark: 0.9 to 2.7 H),
-    where an elimination that leaves them unreduced reaches about 50 H.
+    near the size of the answer, but no bound is proven.  With H the bit
+    size of the Hadamard bound on |det|, u and v reached 0.9 to 2.7 H on the
+    seeded dense 48 x 48 matrices of the benchmark (entries in [-50, 50]),
+    where an unreduced elimination reaches about 50 H; one sparse 16 x 16
+    matrix takes u to 291 bits, over 3 H + log2(n) + 8 (H about 92.4).
     """
     shape = (nrows, ncols)
     m, flipped = a, False

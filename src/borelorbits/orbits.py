@@ -7,9 +7,10 @@ orbit enumeration under subgroups of reflections are all computed from this
 combinatorial data; the table itself is input, not derived from geometry.
 Every table passes one validating core over orbit indices (orbit k is the
 k-th name): the constructor maps span names to indices in front of it, and
-the pattern and catalog builds hand it index columns directly.  Spans are
-kept as columns and made into :class:`Span` objects only when asked for; the
-JSON and DOT texts are written from the columns in parts, one per root.
+the pattern and catalog builds hand it index columns directly.  Orbits and
+spans are kept as columns and made into :class:`Orbit` and :class:`Span`
+records only when asked for; the JSON and DOT texts are written from the
+columns in parts, one per root.
 
 Edge types and the permutation they induce on their span:
 
@@ -33,10 +34,12 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count, islice, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter
+from operator import attrgetter, ge, gt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rootdata import CartanSpec
@@ -242,7 +245,7 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
     perm, link, kind = identity.copy(), identity.copy(), bytearray(b"\xff") * len(identity)
     for edge, opens, lowers, members in runs:
         width = opens + lowers
-        if (opens, lowers) != _SLOTS[edge][:2]:
+        if (opens, lowers) != _SLOTS[edge][:2] or len(members) % width:
             return None
         if members and (min(members) < 0 or max(members) >= len(identity)):
             return None
@@ -274,34 +277,25 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
     return None if 255 in kind else (perm, link, bytes(kind))
 
 
-class _Labels(dict):
-    """Orbit name -> index; an unknown name gets the next index, so a refusal can name it."""
-
-    def __missing__(self, name: str) -> int:
-        self[name] = index = len(self)
-        return index
-
-
-def span_runs(spans: Iterable[Span], index: Mapping[str, int], rank: int) -> tuple[dict, dict]:
+def span_runs(spans: Iterable[Span], names: Sequence[str], rank: int) -> tuple[dict, dict]:
     """Name-form spans as the per-root runs of :meth:`ReflectionTable.from_columns`.
 
-    The spans of one shape at a root form one run, in input order; ``index``
-    maps orbit names to indices.  Also returns that map grown by every name
-    it lacks, each given the next index, so the core refuses it as unknown.
+    The spans of one shape at a root form one run, in input order; orbit k
+    is ``names[k]``.  Also returns the name -> index map used, grown by every
+    name it lacks, each given the next index, so the core refuses it as unknown.
     """
     runs: dict[tuple, list[str]] = {}
     for root, edge, oo, lo in spans:
-        names = runs.setdefault((root, edge, len(oo), len(lo)), [])
-        names += oo
-        names += lo
-    labels = _Labels(index)
-    lookup = labels.__getitem__
+        members = runs.setdefault((root, edge, len(oo), len(lo)), [])
+        members += oo
+        members += lo
+    index = defaultdict(count(len(names)).__next__, zip(names, range(len(names))))
     columns: dict = {root: [] for root in range(1, rank + 1)}
-    for (root, *shape), names in runs.items():
-        names[:] = map(lookup, names)
+    for (root, *shape), members in runs.items():
+        members[:] = map(index.__getitem__, members)
         # A root out of range enters here in input order; the core refuses it.
-        columns.setdefault(root, []).append((*shape, names))
-    return columns, labels
+        columns.setdefault(root, []).append((*shape, members))
+    return columns, index
 
 
 class ReflectionTable:
@@ -323,27 +317,25 @@ class ReflectionTable:
     """
 
     def __init__(self, orbits: Iterable[Orbit], cartan: CartanSpec, spans: Iterable[Span]) -> None:
-        self._take_orbits(orbits)
+        self._take_orbits(sorted(orbits, key=attrgetter("name")))
         spans = spans if isinstance(spans, list) else list(spans)
-        columns, labels = span_runs(spans, self._index, cartan.rank)
-        lookup = labels.__getitem__
+        columns, index = span_runs(spans, self._names, cartan.rank)
 
         def in_order(root):
             for at, edge, oo, lo in spans:
                 if at == root:
-                    yield edge, [*map(lookup, oo)], [*map(lookup, lo)]
+                    yield edge, [*map(index.__getitem__, oo)], [*map(index.__getitem__, lo)]
 
-        self._assemble(cartan, columns, in_order, tuple(labels))
+        self._assemble(cartan, columns, in_order, tuple(index))
 
     @classmethod
-    def from_columns(
-        cls, orbits: Iterable[Orbit], cartan: CartanSpec, columns
-    ) -> "ReflectionTable":
+    def from_columns(cls, orbits: Iterable[Orbit], cartan: CartanSpec, columns) -> ReflectionTable:
         """A table from index-form spans, validated by the same core as the constructor.
 
-        ``columns`` maps each root to runs ``(type, opens, lowers, members)``:
-        spans of one shape as one flat list of orbit indices (name order),
-        ``opens + lowers`` per span, open slots first; lists are reordered.
+        ``orbits`` come in name order.  ``columns`` maps each root to runs
+        ``(type, opens, lowers, members)``: spans of one shape as one flat list
+        of orbit indices, ``opens + lowers`` per span, open slots first; lists
+        are reordered.
         """
 
         def in_order(root):
@@ -354,23 +346,22 @@ class ReflectionTable:
                     yield edge, span[:opens], span[opens:]
 
         table = cls.__new__(cls)
-        table._take_orbits(orbits)
+        table._take_orbits(orbits if isinstance(orbits, list) else list(orbits))
         table._assemble(cartan, columns, in_order, table._names)
         return table
 
-    def _take_orbits(self, orbits: Iterable[Orbit]) -> None:
-        orbit_list = sorted(orbits, key=attrgetter("name"))
-        names = tuple(o.name for o in orbit_list)
-        index = dict(zip(names, range(len(names))))
-        if len(index) != len(names):
-            raise ValueError("orbit names must be unique")
-        for o in orbit_list:
-            if not o.name:
-                raise ValueError("orbit name must be nonempty")
-            if o.is_open and not o.is_max_rank:
-                raise ValueError(f"open orbit {o.name!r} must be of maximal rank")
-        self.orbits: tuple[Orbit, ...] = tuple(orbit_list)
-        self._names, self._index = names, index
+    def _take_orbits(self, orbits: list[Orbit]) -> None:
+        """Keep ``orbits``, in name order, as columns: names, open and max-rank bytes, dims."""
+        names, opens, max_rank, dims = (tuple(map(attrgetter(f), orbits)) for f in Orbit._fields)
+        for k in compress(count(1), map(ge, names, islice(names, 1, None))):
+            order = f"orbits must be in name order, got {names[k]!r} after {names[k - 1]!r}"
+            raise ValueError("orbit names must be unique" if names[k - 1] == names[k] else order)
+        if not all(names):
+            raise ValueError("orbit name must be nonempty")
+        self._names, self._open, self._max_rank = names, bytes(opens), bytes(max_rank)
+        for name in compress(names, map(gt, self._open, self._max_rank)):
+            raise ValueError(f"open orbit {name!r} must be of maximal rank")
+        self._dims = None if dims.count(None) == len(dims) else dims
 
     def _assemble(self, cartan: CartanSpec, columns, in_order, labels: Sequence[str]) -> None:
         """The validating core: check the runs of every root and store its columns.
@@ -382,9 +373,7 @@ class ReflectionTable:
         for root in columns:
             if root not in range(1, cartan.rank + 1):
                 raise ValueError(f"span root {root} out of range 1..{cartan.rank}")
-        identity = list(self._index.values())  # the ints the name boundary hands out
-        is_open = bytes(o.is_open for o in self.orbits)
-        dims = [o.dim for o in self.orbits] if any(o.dim is not None for o in self.orbits) else None
+        identity, is_open, dims = list(range(len(self._names))), self._open, self._dims
         # Per root: the involution, the next member of each orbit's span, and
         # each orbit's kind byte.
         self._reflections, self._links, self._kinds = {}, {}, {}
@@ -433,7 +422,8 @@ class ReflectionTable:
                         "must be one dimension below the open one"
                     )
         missing = [name for name, covered in zip(self._names, held) if not covered]
-        return ValueError(f"orbits not covered by any span at root {root}: {missing}")
+        shown = f"{missing[:10]} (10 of {len(missing)})" if len(missing) > 10 else missing
+        return ValueError(f"orbits not covered by any span at root {root}: {shown}")
 
     def _spans_at(self, root: int, heads: Iterable[int]):
         """(type, open names, lower names) of the spans at ``root`` led by the orbits ``heads``."""
@@ -472,17 +462,33 @@ class ReflectionTable:
         return self._names
 
     @property
+    def orbits(self) -> tuple[Orbit, ...]:
+        """The orbit records in name order, made from the columns on each access."""
+        flags = map(bool, self._open), map(bool, self._max_rank)
+        return tuple(map(Orbit, self._names, *flags, self._dims or repeat(None)))
+
+    @property
     def open_orbit_names(self) -> tuple[str, ...]:
-        return tuple(o.name for o in self.orbits if o.is_open)
+        return tuple(compress(self._names, self._open))
+
+    def _position(self, name: str) -> int:
+        """The index of orbit ``name``, by bisection (index order is name order); -1 if none."""
+        try:
+            k = bisect_left(self._names, name)
+        except TypeError:  # not comparable with the names, so not one of them
+            return -1
+        return k if k < len(self._names) and self._names[k] == name else -1
 
     def orbit(self, name: str) -> Orbit:
-        return self.orbits[self._index[name]]
+        if (k := self._position(name)) < 0:
+            raise KeyError(name)
+        dim = self._dims[k] if self._dims else None
+        return Orbit(self._names[k], bool(self._open[k]), bool(self._max_rank[k]), dim)
 
     def span_of(self, name: str, root: int) -> Span:
-        try:
-            k, kind, link = self._index[name], self._kinds[root], self._links[root]
-        except KeyError:
-            raise ValueError(f"no span for orbit {name!r} at root {root}") from None
+        if (k := self._position(name)) < 0 or root not in self._kinds:
+            raise ValueError(f"no span for orbit {name!r} at root {root}")
+        kind, link = self._kinds[root], self._links[root]
         while kind[k] & 3:  # on to slot 0, the first open orbit
             k = link[k]
         return self._span_objects(root, (k,))[0]
@@ -542,10 +548,9 @@ class ReflectionTable:
         count = len(self._names)
         if restrict_to is None:
             return bytearray(b"\x01") * count
-        domain, index, unknown = bytearray(count), self._index, []
+        domain, unknown = bytearray(count), []
         for name in restrict_to:
-            k = index.get(name)
-            if k is None:
+            if (k := self._position(name)) < 0:
                 unknown.append(name)
             else:
                 domain[k] = 1
@@ -586,7 +591,7 @@ class ReflectionTable:
         spans actually move open orbits, so the partition is the transitive
         closure of their open-slot swaps.
         """
-        opens = bytes(map(attrgetter("is_open"), self.orbits))
+        opens = self._open
         for root, perm in self._reflections.items():
             kind = self._kinds[root]
             for k in compress(range(len(opens)), opens):
@@ -628,12 +633,11 @@ class ReflectionTable:
 
     def type_census(self) -> TypeCensus:
         """Spans per type and root, counted as the first open orbits in the kind column."""
-        max_rank = bytes(o.is_max_rank for o in self.orbits)
         counts: dict[int, dict[EdgeType, int]] = {}
         t2_flag = False
         for root, kind in self._kinds.items():
             counts[root] = {t: n for t, code in _TYPE_CODE.items() if (n := kind.count(code << 2))}
-            t2_flag = t2_flag or any(compress(max_rank, kind.translate(_T2_CELLS)))
+            t2_flag = t2_flag or any(compress(self._max_rank, kind.translate(_T2_CELLS)))
         return TypeCensus(counts=counts, t2_on_max_rank=t2_flag)
 
     # -- serialization ---------------------------------------------------------
@@ -654,6 +658,7 @@ class ReflectionTable:
             raise ValueError(f"reflection table JSON is missing {exc}") from exc
         if not isinstance(orbit_objs, list) or not isinstance(span_objs, list):
             raise ValueError("reflection table 'orbits' and 'spans' must be lists")
+        check_orbit_count(len(orbit_objs), "reflection table")
         orbits = []
         for entry in orbit_objs:
             if not isinstance(entry, dict):
@@ -716,8 +721,8 @@ class ReflectionTable:
     def iter_dot(self) -> Iterator[str]:
         """The text of :meth:`to_dot` in parts: the orbits, the edges of each root, the close."""
         yield "graph orbits {\n" + "".join(
-            f'  "{o.name}" [shape={"doublecircle" if o.is_open else "circle"}];\n'
-            for o in self.orbits
+            f'  "{name}" [shape={"doublecircle" if is_open else "circle"}];\n'
+            for name, is_open in zip(self._names, self._open)
         )
         names = self._names
         for root, perm in self._reflections.items():

@@ -321,6 +321,7 @@ def test_catalog_tables_round_trip_through_json():
         build_example(ExampleSpec(name="ordered", n=4)),
         build_example(ExampleSpec(name="unordered", n=5)),
         build_example(ExampleSpec(name="g2_case")),
+        build_example(ExampleSpec(name="torus", cartan=CartanSpec.from_label("B3"))),
     ):
         table = example.table
         again = ReflectionTable.from_json(table.to_json())

@@ -24,6 +24,7 @@ from borelorbits import (
     patterns,
     rootdata,
 )
+from borelorbits import orbits as orbits_module
 from borelorbits.cli import main
 
 
@@ -504,6 +505,18 @@ def test_table_cartan_over_the_rank_limit(capsys, monkeypatch, cartan):
     assert payload["error"] == {
         "type": "ValueError",
         "message": "Cartan rank 3 is over the rank limit 2",
+    }
+
+
+def test_table_over_the_orbit_limit(capsys, monkeypatch):
+    monkeypatch.setattr(orbits_module, "MAX_ORBITS", 2)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_table_json(_ABC, _N2_SPAN))))
+    code, out, err = run_cli(capsys, "orbits", "--table", "-")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == {
+        "type": "ValueError",
+        "message": "reflection table: 3 orbits is over the orbit limit 2",
     }
 
 

@@ -185,6 +185,34 @@ def test_snf_transforms_stay_within_a_hadamard_multiple(m):
     assert bits <= 3 * hadamard_bits + math.log2(m.rows) + 8
 
 
+# A sparse nonsingular matrix on which u reaches 291 bits against a bound of about 289.
+_SNF_BOUND_COUNTEREXAMPLE = [
+    [0, 0, 0, -29, 0, 0, 0, 0, -35, 0, 0, 0, 21, 0, 0, 0],
+    [-43, 0, 0, -28, 0, 0, -28, 5, 0, 0, 0, 0, 0, 23, 0, 0],
+    [0, 33, 36, -30, -50, 49, -24, 0, 0, 5, 0, 20, 49, 0, 46, 0],
+    [0, 0, -22, 0, 13, 18, 37, 0, 29, 0, 0, 0, 0, 0, 0, 0],
+    [0, 11, 0, 0, -33, 0, 0, -1, 0, 0, 0, 8, -9, 0, 0, 0],
+    [0, 0, -24, -49, 0, 0, 3, 39, 0, -49, 0, 0, 0, 0, 0, 0],
+    [-13, 0, 0, 39, 27, 0, -9, 0, 0, -12, 0, 19, 0, 0, 0, 0],
+    [47, 0, 0, 0, 0, 0, 0, 0, -17, 0, 0, 0, 0, 0, 0, 0],
+    [0, -40, 0, -6, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, -40, 13],
+    [0, 0, 0, 0, 0, 0, 16, 0, -40, -41, 20, 42, 0, 0, -40, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -29, 0, 8, 0, 0, 0],
+    [0, 23, 0, 33, 48, 0, 0, 0, -43, 0, 0, -4, 0, 14, -40, -11],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0],
+    [0, 0, 8, 49, 0, -42, 0, 0, 0, 0, -37, 21, 5, 0, 0, 31],
+    [-16, 0, 0, 0, 34, 25, 0, -29, 0, 0, 0, -2, 0, 0, 30, 0],
+    [0, -15, 0, 0, 0, 0, 0, -23, 0, 0, -24, 0, 0, 44, 20, 0],
+]
+
+
+@pytest.mark.xfail(strict=True, reason="no transform bound is proven yet")
+def test_snf_transform_bound_counterexample():
+    test_snf_transforms_stay_within_a_hadamard_multiple.hypothesis.inner_test(
+        IntegerMatrix.from_rows(_SNF_BOUND_COUNTEREXAMPLE)
+    )
+
+
 def test_elementary_divisors_doubled_basis():
     # rows {2e_1, ..., 2e_r} inside rank n
     m = IntegerMatrix.from_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]])

@@ -16,6 +16,7 @@ from borelorbits import (
     build_complex_table,
     build_table,
 )
+from borelorbits import orbits as orbits_module
 
 A1 = CartanSpec.from_label("A1")
 D2 = CartanSpec.from_label("D2")
@@ -304,6 +305,47 @@ def test_index_columns_enter_the_same_checks():
     for columns, message in cases:
         with pytest.raises(ValueError, match=message):
             ReflectionTable.from_columns(orbits, A1, columns)
+
+
+def test_index_runs_with_a_partial_span_are_refused():
+    # A U run of three members would end in a U span of one orbit, ('c'; 'c'), and a
+    # T1 run of two members in Python's own slice-assignment error.
+    orbits = [Orbit("a", True, True), Orbit("b"), Orbit("c", True, True)]
+    for run in ((EdgeType.U, 1, 1, [0, 1, 2]), (EdgeType.T1, 1, 2, [1, 0])):
+        message = f"span of type {run[0].value} at root 1 has wrong slot counts"
+        with pytest.raises(ValueError, match=message):
+            ReflectionTable.from_columns(orbits, A1, {1: [run]})
+
+
+def test_index_columns_take_orbits_in_name_order():
+    # Orbit k is the k-th given; re-sorting them would silently pair 'a' with 'm'.
+    orbits = [Orbit("z"), Orbit("a"), Orbit("m")]
+    columns = {1: [(EdgeType.U, 1, 1, [0, 1]), (EdgeType.P, 1, 0, [2])]}
+    with pytest.raises(ValueError, match="orbits must be in name order, got 'a' after 'z'"):
+        ReflectionTable.from_columns(orbits, A1, columns)
+    with pytest.raises(ValueError, match="orbit names must be unique"):
+        ReflectionTable.from_columns([Orbit("a"), Orbit("a")], A1, {})
+    # The name-form constructor sorts its orbits first.
+    with pytest.raises(ValueError, match="orbit names must be unique"):
+        ReflectionTable([Orbit("b"), Orbit("a"), Orbit("b")], A1, [])
+    with pytest.raises(ValueError, match="orbit name must be nonempty"):
+        ReflectionTable([Orbit("b"), Orbit("")], A1, [])
+
+
+def test_uncovered_orbits_are_named_ten_at_most():
+    names = [f"o{k:02d}" for k in range(12)]
+    with pytest.raises(ValueError) as refused:
+        ReflectionTable([Orbit(name) for name in names], A1, [])
+    assert str(refused.value) == (
+        f"orbits not covered by any span at root 1: {names[:10]} (10 of 12)"
+    )
+
+
+def test_table_json_over_the_orbit_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(orbits_module, "MAX_ORBITS", 2)
+    obj = {"orbits": [{"id": name} for name in "abc"], "cartan": {"type": "A", "rank": 1}}
+    with pytest.raises(ValueError, match="reflection table: 3 orbits is over the orbit limit 2"):
+        ReflectionTable.from_json({**obj, "spans": []})
 
 
 def test_u_span_dimension_check():
