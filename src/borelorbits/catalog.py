@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 
 from . import EXAMPLE_NAMES
 from .lattice import IntegerMatrix, count_open_real_orbits, elementary_divisors
-from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count, span_runs
+from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count
+from .orbits import orbit_columns, span_runs
 from .rootdata import CartanSpec, SphericalDatum
 
 
@@ -117,15 +117,15 @@ def _coeff_vector(n: int, *terms: tuple[int, int]) -> list[int]:
 
 def _table(orbits: list[Orbit], cartan: CartanSpec, spans: list[Span]) -> ReflectionTable:
     """The table of ``spans``, with a P span for every (root, orbit) cell they leave uncovered."""
-    orbits.sort(key=attrgetter("name"))  # index order, as from_columns takes it
-    columns, index = span_runs(spans, [*map(attrgetter("name"), orbits)], cartan.rank)
+    by_name = orbit_columns(orbits)  # the orbit columns from_columns takes, in name order
+    columns, index = span_runs(spans, by_name[0], cartan.rank)
     for runs in columns.values():
         uncovered = bytearray(b"\x01") * len(index)
         for *_, members in runs:
             for k in members:
                 uncovered[k] = 0
         runs.append((EdgeType.P, 1, 0, list(itertools.compress(range(len(orbits)), uncovered))))
-    return ReflectionTable.from_columns(orbits, cartan, columns)
+    return ReflectionTable.from_columns(cartan, columns, *by_name)
 
 
 def _add_lowers(orbits: list[Orbit], names: tuple[str, ...], dim: int | None) -> tuple[str, ...]:

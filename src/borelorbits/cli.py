@@ -163,7 +163,7 @@ def _cmd_count_open(args) -> int:
 
 def _cmd_patterns(args) -> int:
     signed = not args.complex
-    texts = [p.to_text() for p in patterns.enumerate_patterns(args.n, args.r, signed=signed)]
+    texts = patterns.pattern_texts(args.n, args.r, signed=signed)
     if args.format == "json":
         shape = {"n": args.n, "r": args.r, "signed": signed}
         _stream_json({**shape, "count": len(texts), "patterns": texts})
@@ -203,9 +203,8 @@ def _cmd_orbits(args) -> int:
         raise ValueError("--domain needs --generators")
     table = _load_table(args)
     if args.generators is not None:
-        generators = _parse_int_list(args.generators)
-        domain = table.open_orbit_names if args.domain == "open" else table.orbit_names
-        classes = table.subgroup_orbits(generators, domain)
+        domain = table.open_orbit_names if args.domain == "open" else None
+        classes = table.subgroup_orbits(_parse_int_list(args.generators), domain)
     else:
         classes = table.real_group_orbit_classes()
     if args.format == "json":

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import enum
 import json
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
+from itertools import combinations, compress, count, islice, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, ge, gt
+from operator import attrgetter, ge, gt, ne
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rootdata import CartanSpec
@@ -240,7 +241,8 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
     """The reflection, link and kind columns of one root, or None when a check fails.
 
     Every orbit takes exactly one slot (kinds start at 255, which no slot
-    has); two slots of one kind are put in index order.
+    has); two slots of one kind are put in index order.  Members read from an
+    array, which boxes each read, map through ``identity``: one int per orbit.
     """
     perm, link, kind = identity.copy(), identity.copy(), bytearray(b"\xff") * len(identity)
     for edge, opens, lowers, members in runs:
@@ -249,12 +251,12 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
             return None
         if members and (min(members) < 0 or max(members) >= len(identity)):
             return None
+        read = members if isinstance(members, list) else [*map(identity.__getitem__, members)]
+        columns = [read[slot::width] for slot in range(width)]
         for first, size in ((0, opens), (opens, lowers)):
             if size == 2:
-                a, b = members[first::width], members[first + 1 :: width]
-                members[first::width] = map(min, a, b)
-                members[first + 1 :: width] = map(max, a, b)
-        columns = [members[slot::width] for slot in range(width)]
+                a, b = columns[first : first + 2]
+                columns[first : first + 2] = [*map(min, a, b)], [*map(max, a, b)]
         code = _TYPE_CODE[edge] << 2
         for slot, column in enumerate(columns):
             if slot >= opens and any(map(is_open.__getitem__, column)):
@@ -274,7 +276,13 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
             for a, b in zip(columns[x], columns[y]):
                 perm[a] = b
                 perm[b] = a
-    return None if 255 in kind else (perm, link, bytes(kind))
+    return None if 255 in kind else (perm, array("I", link), bytes(kind))
+
+
+def orbit_columns(orbits: Iterable[Orbit]) -> tuple[tuple, ...]:
+    """``orbits`` sorted by name, as columns: names, open flags, max-rank flags and dims."""
+    orbits = sorted(orbits, key=attrgetter("name"))
+    return tuple(tuple(map(attrgetter(field), orbits)) for field in Orbit._fields)
 
 
 def span_runs(spans: Iterable[Span], names: Sequence[str], rank: int) -> tuple[dict, dict]:
@@ -311,13 +319,13 @@ class ReflectionTable:
 
     Per root the core keeps three columns over the orbits: the reflection, a
     ``list[int]`` involution; the kind, a byte for the type and slot of the
-    orbit's span; and the link, the next member of that span.  Spans are made
-    from them on demand and not kept.  Index order is name order, so least
-    witnesses and sorted classes need no names.
+    orbit's span; and the link, the next member of that span, in an
+    ``array('I')``.  Spans are made from them on demand and not kept.  Index
+    order is name order, so least witnesses and sorted classes need no names.
     """
 
     def __init__(self, orbits: Iterable[Orbit], cartan: CartanSpec, spans: Iterable[Span]) -> None:
-        self._take_orbits(sorted(orbits, key=attrgetter("name")))
+        self._take_orbits(*orbit_columns(orbits))
         spans = spans if isinstance(spans, list) else list(spans)
         columns, index = span_runs(spans, self._names, cartan.rank)
 
@@ -329,13 +337,13 @@ class ReflectionTable:
         self._assemble(cartan, columns, in_order, tuple(index))
 
     @classmethod
-    def from_columns(cls, orbits: Iterable[Orbit], cartan: CartanSpec, columns) -> ReflectionTable:
-        """A table from index-form spans, validated by the same core as the constructor.
+    def from_columns(cls, cartan: CartanSpec, columns: dict, names, is_open, max_rank, dims=None):
+        """A table from index-form orbits and spans, validated by the same core as the constructor.
 
-        ``orbits`` come in name order.  ``columns`` maps each root to runs
-        ``(type, opens, lowers, members)``: spans of one shape as one flat list
-        of orbit indices, ``opens + lowers`` per span, open slots first; lists
-        are reordered.
+        Orbit k is ``names[k]``, in name order, with the k-th open and max-rank flag
+        and dim.  ``columns`` maps each root to runs ``(type, opens, lowers, members)``:
+        spans of one shape as one flat list or array of orbit indices, ``opens +
+        lowers`` per span, open slots first.  A root's runs are dropped once it is made.
         """
 
         def in_order(root):
@@ -346,22 +354,25 @@ class ReflectionTable:
                     yield edge, span[:opens], span[opens:]
 
         table = cls.__new__(cls)
-        table._take_orbits(orbits if isinstance(orbits, list) else list(orbits))
+        table._take_orbits(names, is_open, max_rank, dims)
         table._assemble(cartan, columns, in_order, table._names)
         return table
 
-    def _take_orbits(self, orbits: list[Orbit]) -> None:
-        """Keep ``orbits``, in name order, as columns: names, open and max-rank bytes, dims."""
-        names, opens, max_rank, dims = (tuple(map(attrgetter(f), orbits)) for f in Orbit._fields)
+    def _take_orbits(self, names, is_open, max_rank, dims) -> None:
+        """Keep the orbit columns, in name order: names, open and max-rank bytes, dims."""
+        names, dims = tuple(names), None if dims is None else tuple(dims)
+        opens, max_rank = bytes(map(bool, is_open)), bytes(map(bool, max_rank))
+        if not len(names) == len(opens) == len(max_rank) == len(names if dims is None else dims):
+            raise ValueError("orbit columns must have one entry per orbit name")
         for k in compress(count(1), map(ge, names, islice(names, 1, None))):
             order = f"orbits must be in name order, got {names[k]!r} after {names[k - 1]!r}"
             raise ValueError("orbit names must be unique" if names[k - 1] == names[k] else order)
         if not all(names):
             raise ValueError("orbit name must be nonempty")
-        self._names, self._open, self._max_rank = names, bytes(opens), bytes(max_rank)
-        for name in compress(names, map(gt, self._open, self._max_rank)):
+        self._names, self._open, self._max_rank = names, opens, max_rank
+        for name in compress(names, map(gt, opens, max_rank)):
             raise ValueError(f"open orbit {name!r} must be of maximal rank")
-        self._dims = None if dims.count(None) == len(dims) else dims
+        self._dims = None if dims is None or dims.count(None) == len(dims) else dims
 
     def _assemble(self, cartan: CartanSpec, columns, in_order, labels: Sequence[str]) -> None:
         """The validating core: check the runs of every root and store its columns.
@@ -374,14 +385,13 @@ class ReflectionTable:
             if root not in range(1, cartan.rank + 1):
                 raise ValueError(f"span root {root} out of range 1..{cartan.rank}")
         identity, is_open, dims = list(range(len(self._names))), self._open, self._dims
-        # Per root: the involution, the next member of each orbit's span, and
-        # each orbit's kind byte.
         self._reflections, self._links, self._kinds = {}, {}, {}
         for root in range(1, cartan.rank + 1):
             made = _root_columns(columns.get(root, ()), identity, is_open, dims)
             if made is None:
                 raise self._fault(root, in_order(root), labels, is_open, dims)
             self._reflections[root], self._links[root], self._kinds[root] = made
+            columns.pop(root, None)  # consumed: a finished root's runs are freed
         self.cartan = cartan
 
     def _fault(self, root: int, spans, labels: Sequence[str], is_open: bytes, dims) -> ValueError:
@@ -520,20 +530,16 @@ class ReflectionTable:
         gens = sorted(set(generators)) if generators is not None else sorted(self._reflections)
         perms = [self._reflection(g) for g in gens]
         domain = self._resolve_domain(restrict_to, gens, perms)
-        # The moved points of each reflection, listed as their images: on an
-        # invariant domain an involution maps them onto themselves, and the
-        # images are the ints the reflection already holds.
-        moved = [
-            [image for k, image in enumerate(perm) if image != k and domain[k]] for perm in perms
-        ]
+        # The moved points of each reflection in the domain, listed as their images: an
+        # involution maps them onto themselves, and the images are ints it already holds.
+        points, images = [*compress(count(), domain)], ([*compress(p, domain)] for p in perms)
+        moved = [[*compress(row, map(ne, row, points))] for row in images]
         results = []
-        for x in range(len(gens)):
-            for y in range(x + 1, len(gens)):
-                i, j = gens[x], gens[y]
-                m = self.cartan.coxeter_exponent(i, j)
-                witness = _braid_witness(perms[x], perms[y], m, {*moved[x], *moved[y]})
-                name = None if witness is None else self._names[witness]
-                results.append(BraidPair(i, j, m, holds=name is None, witness=name))
+        for (i, si, mi), (j, sj, mj) in combinations(zip(gens, perms, moved), 2):
+            m = self.cartan.coxeter_exponent(i, j)
+            witness = _braid_witness(si, sj, m, {*mi, *mj})
+            name = None if witness is None else self._names[witness]
+            results.append(BraidPair(i, j, m, holds=name is None, witness=name))
         return BraidReport(pairs=tuple(results))
 
     def _resolve_domain(
@@ -570,9 +576,9 @@ class ReflectionTable:
     # -- orbit enumeration ---------------------------------------------------
 
     def subgroup_orbits(
-        self, generators: Iterable[int], domain: Iterable[str]
+        self, generators: Iterable[int], domain: Iterable[str] | None = None
     ) -> tuple[tuple[str, ...], ...]:
-        """Orbits of the subgroup generated by the given reflections on ``domain``.
+        """Orbits of the subgroup generated by the given reflections on ``domain`` (None: all).
 
         Connected components of the graph whose edges are the generator moves,
         computed by breadth-first closure; the result does not depend on the

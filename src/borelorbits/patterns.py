@@ -46,11 +46,12 @@ import math
 import struct
 import sys
 import weakref
+from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 
-from .orbits import EdgeType, Orbit, ReflectionTable, check_orbit_count
+from .orbits import EdgeType, ReflectionTable, check_orbit_count
 from .rootdata import CartanSpec, check_rank
 
 ZERO = "0"
@@ -270,11 +271,11 @@ def _refuse_oversized(n: int, r: int, signed: bool) -> None:
     check_rank(n - 1)
 
 
-def _pattern_texts(n: int, r: int, signed: bool):
-    """Entry text and arcs of every pattern with n positions and rank r, unsorted.
+def _pattern_parts(n: int, r: int, signed: bool):
+    """Text and arcs of every pattern with n positions and rank r, unsorted.
 
-    The one enumeration, read by :func:`enumerate_patterns` and the table
-    build; callers refuse an oversized shape first.
+    The one enumeration, read by :func:`_sorted_parts` and the table build;
+    callers refuse an oversized shape first.
     """
     # Complex singles are bare dots: one choice per single position.
     singles_choices = _SIGNS if signed else (DOT,)
@@ -289,8 +290,15 @@ def _pattern_texts(n: int, r: int, signed: bool):
                 for arcs in _matchings(arc_positions):
                     # _matchings pairs off the smallest remaining point first,
                     # so each arc tuple comes out canonically sorted.
+                    form = template + _arc_suffix(arcs)
                     for signs in itertools.product(singles_choices, repeat=r - 2 * arc_count):
-                        yield template % signs, arcs
+                        yield form % signs, arcs
+
+
+def _sorted_parts(n: int, r: int, signed: bool) -> list[tuple[str, tuple]]:
+    """Text and arcs of every pattern, in :meth:`SignedPattern.sort_key` order."""
+    _refuse_oversized(n, r, signed)
+    return sorted(_pattern_parts(n, r, signed), key=lambda p: (p[0][:n].translate(_SORT_TR), p[1]))
 
 
 def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPattern]:
@@ -299,14 +307,14 @@ def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPatter
     The shape is refused before anything is allocated when it has too many
     patterns, or when its table's Cartan rank n - 1 is over the rank limit.
     """
-    _refuse_oversized(n, r, signed)
     entry = {e: e for e in _ENTRY_ORDER}.__getitem__  # tuple(text) would copy every dot
-    out = [
-        SignedPattern._unchecked(tuple(map(entry, text)), arcs)
-        for text, arcs in _pattern_texts(n, r, signed)
-    ]
-    out.sort(key=SignedPattern.sort_key)
-    return out
+    parts = _sorted_parts(n, r, signed)
+    return [SignedPattern._unchecked(tuple(map(entry, text[:n])), arcs) for text, arcs in parts]
+
+
+def pattern_texts(n: int, r: int, signed: bool = True) -> list[str]:
+    """The texts of :func:`enumerate_patterns`, in its order, made with no pattern object."""
+    return [text for text, _ in _sorted_parts(n, r, signed)]
 
 
 # A pattern's record: one byte per entry (Latin-1 with "?" for the dot, then
@@ -316,16 +324,16 @@ _ENTRY_BYTE = {ZERO: 0, PLUS: 253, MINUS: 254, DOT: 255}
 _ENCODE = bytes.maketrans(b"0+-?", bytes(_ENTRY_BYTE.values()))
 _ENTRY_OF_BYTE = {code: entry for entry, code in _ENTRY_BYTE.items()}
 
-# The runs a cell can head: (type, open slots, the rewrites of its record
-# giving its other members: 0 transposed, 1 merged into the arc (i, i+1)).
+# The runs a cell can head: (type, open slots, whether its record transposed
+# and its record merged into the arc (i, i+1) give its other members).
 _RUNS = (
-    (EdgeType.P, 1, ()),
-    (EdgeType.N0, 1, ()),
-    (EdgeType.U, 1, (0,)),
-    (EdgeType.N2, 2, (0, 1)),
-    (EdgeType.N, 1, (1,)),
+    (EdgeType.P, 1, False, False),
+    (EdgeType.N0, 1, False, False),
+    (EdgeType.U, 1, True, False),
+    (EdgeType.N2, 2, True, True),
+    (EdgeType.N, 1, False, True),
 )
-_RUN_OF = {edge: code for code, (edge, _, _) in enumerate(_RUNS, start=1)}
+_RUN_OF = {edge: code for code, (edge, *_) in enumerate(_RUNS, start=1)}
 _HEADS = [bytes(code == run for code in range(256)) for run in _RUN_OF.values()]
 
 
@@ -339,83 +347,70 @@ def _head_of(x: int, y: int, px: int, py: int, i: int) -> int:
 
 
 def _build(n: int, r: int, patterns) -> ReflectionTable:
-    """The table of ``patterns`` (entry text and arcs of each), of rank r.
+    """The table of ``patterns`` (text and arcs of each), of rank r.
 
-    The columns are made in a frame of their own, whose records and lookup
-    dict are freed before the table is validated.
+    The sorted names' byte records are laid end to end in a blob, which
+    :func:`_root_runs` rewrites, and a record -> index dict finds rewritten
+    records; both are freed before the table is validated.
     """
-    orbits, columns = _index_columns(n, r, patterns)
-    return ReflectionTable.from_columns(orbits, CartanSpec.from_type("A", n - 1), columns)
+    names, partners = [], {"": bytes(n)}  # partners: arc suffix -> each position's partner
+    for text, arcs in patterns:
+        names.append(text)
+        if arcs and (tail := text[n:]) not in partners:
+            ends = dict(arcs) | {k: j for j, k in arcs}
+            partners[tail] = bytes(ends.get(p, 0) for p in range(1, n + 1))
+    names = tuple(sorted(names))
+    index, blob = {}, bytearray()
+    for k, name in enumerate(names):
+        record = name[:n].encode("latin-1", "replace").translate(_ENCODE) + partners[name[n:]]
+        index[record] = k
+        blob += record
+    columns = {i: _root_runs(blob, index.__getitem__, n, i) for i in range(1, n)}
+    del index, blob
+    # Arc-free names are of maximal rank, and open with no zero among the first r entries.
+    max_rank = bytes(" " not in name for name in names)
+    is_open = bytes(full and name.find(ZERO, 0, r) < 0 for full, name in zip(max_rank, names))
+    cartan = CartanSpec.from_type("A", n - 1)
+    return ReflectionTable.from_columns(cartan, columns, names, is_open, max_rank)
 
 
-def _index_columns(n: int, r: int, patterns) -> tuple[list[Orbit], dict]:
-    """The orbits of ``patterns`` in name order and their per-root runs, in index form.
+def _root_runs(blob: bytearray, index, n: int, i: int) -> list:
+    """The runs at root i of the records in ``blob``, with ``array('I')`` members.
 
-    The byte records, in name order, are laid end to end.  At root i two
-    extended-slice swaps of record columns and one ``bytes.translate`` that
-    relabels partners i <-> i+1 transpose every record at once; a second
-    rewrite merges positions i, i+1 into an arc, the lower orbit of N2 and N.
-    :func:`classify_cell` types each distinct (entries, partners) key once.
-    Each span comes from one member (the orbit of P/N0, the open one of U,
-    the (+,-) one of N2, the bare-dot one of N), its others from one record
-    -> index lookup each.  No object is made per cell or span.
+    Two extended-slice swaps of record columns and a ``bytes.translate`` of partners
+    i <-> i+1 transpose every record; one ``index`` lookup each gives the image, with
+    the U partners and the second opens of N2.  Only the N2 and N heads look up their
+    records merged into the arc (i, i+1), their lowers.  :func:`classify_cell` types
+    each distinct (entries, partners) key once.  Each span comes from one member: the
+    orbit of P/N0, the open one of U, the (+,-) one of N2, the bare-dot one of N.
     """
-    tails: dict[tuple[tuple[int, int], ...], tuple[str, bytes]] = {}
-    names, records = [], []
-    for entries, arcs in patterns:
-        tail = tails.get(arcs)
-        if tail is None:
-            partners = bytearray(n)
-            for j, k in arcs:
-                partners[j - 1], partners[k - 1] = k, j
-            tail = tails[arcs] = (_arc_suffix(arcs), bytes(partners))
-        names.append(entries + tail[0])
-        records.append(entries.encode("latin-1", "replace").translate(_ENCODE) + tail[1])
-    order = sorted(range(len(names)), key=names.__getitem__)
-    orbits = [
-        Orbit(name, " " not in name and ZERO not in name[:r], " " not in name)
-        for name in map(names.__getitem__, order)
-    ]
-    del names
-    cells = list(range(len(order)))
-    blob = b"".join(map(records.__getitem__, order))
-    index = dict(zip(map(records.__getitem__, order), cells)).__getitem__
-    del records, order
-    width, dots = 2 * n, bytes((_ENTRY_BYTE[DOT],)) * len(cells)
+    width, cells = 2 * n, range(len(blob) // (2 * n))
     unpack, first = struct.Struct(f"{width}s").iter_unpack, itemgetter(0)
-    columns, key_bytes = {}, bytearray(4 * len(cells))
-    for i in range(1, n):
-        x, y = blob[i - 1 :: width], blob[i::width]
-        px, py = blob[n + i - 1 :: width], blob[n + i :: width]
-        # Each cell's (x, y, px, py) as one int, so that each key is typed once.
-        key_bytes[0::4], key_bytes[1::4], key_bytes[2::4], key_bytes[3::4] = x, y, px, py
-        with memoryview(key_bytes).cast("I") as keys:
-            head_of = {key: _head_of(*key.to_bytes(4, sys.byteorder), i) for key in set(keys)}
-            heads = bytes(map(head_of.__getitem__, keys))
-        relabel = bytearray(range(256))
-        relabel[i], relabel[i + 1] = i + 1, i
-        swapped = bytearray(blob).translate(relabel)
-        swapped[i - 1 :: width], swapped[i::width] = y, x
-        swapped[n + i - 1 :: width] = py.translate(relabel)
-        swapped[n + i :: width] = px.translate(relabel)
-        merged = bytearray(blob)
-        merged[i - 1 :: width] = merged[i::width] = dots
-        merged[n + i - 1 :: width] = bytes((i + 1,)) * len(cells)
-        merged[n + i :: width] = bytes((i,)) * len(cells)
-        rewrites = (swapped, merged)
-        runs = columns[i] = []
-        for (edge, opens, others), select in zip(_RUNS, _HEADS):
-            chosen = heads.translate(select)
-            slots = [list(compress(cells, chosen))]
-            if slots[0]:
-                for w in others:
-                    rewritten = compress(unpack(rewrites[w]), chosen)
-                    slots.append(list(map(index, map(first, rewritten))))
-                members = [0] * (len(slots) * len(slots[0]))
-                for slot, column in enumerate(slots):
-                    members[slot :: len(slots)] = column
-                runs.append((edge, opens, len(slots) - opens, members))
-    return orbits, columns
+    # Each cell's entries and partners at i, i+1 as one int, so that each key is typed once.
+    key_bytes = bytearray(4 * len(cells))
+    for k, column in enumerate((i - 1, i, n + i - 1, n + i)):
+        key_bytes[k::4] = blob[column::width]
+    with memoryview(key_bytes).cast("I") as keys:
+        head_of = {key: _head_of(*key.to_bytes(4, sys.byteorder), i) for key in set(keys)}
+        heads = bytes(map(head_of.__getitem__, keys))
+    swapped = blob.translate(bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
+    for a in (i - 1, n + i - 1):  # the entries, then the partners, of positions i and i+1
+        swapped[a::width], swapped[a + 1 :: width] = swapped[a + 1 :: width], swapped[a::width]
+    image = array("I", map(index, map(first, unpack(swapped))))
+    del swapped
+    runs = []
+    for (edge, opens, transposed, merged), select in zip(_RUNS, _HEADS):
+        chosen = heads.translate(select)
+        if 1 not in chosen:
+            continue
+        slots = [compress(cells, chosen)] + [compress(image, chosen)] * transposed
+        if merged:
+            arc, dot = bytearray(blob), _ENTRY_BYTE[DOT]
+            for column, byte in ((i - 1, dot), (i, dot), (n + i - 1, i + 1), (n + i, i)):
+                arc[column::width] = bytes((byte,)) * len(cells)
+            slots.append(map(index, map(first, compress(unpack(arc), chosen))))
+        runs.append((edge, opens, len(slots) - opens, array("I", chain.from_iterable(zip(*slots)))))
+    return runs
 
 
 # Built tables by (n, r, signed), held weakly: callers holding a table share
@@ -428,7 +423,7 @@ def _table(n: int, r: int, signed: bool) -> ReflectionTable:
     table = _TABLES.get((n, r, signed))
     if table is None:
         _refuse_oversized(n, r, signed)
-        table = _TABLES[n, r, signed] = _build(n, r, _pattern_texts(n, r, signed))
+        table = _TABLES[n, r, signed] = _build(n, r, _pattern_parts(n, r, signed))
     return table
 
 

@@ -290,8 +290,8 @@ def test_refusal_names_the_first_faulty_span_in_input_order(spans, message):
 
 
 def test_index_columns_enter_the_same_checks():
-    orbits = [Orbit("O"), Orbit("Q")]
-    table = ReflectionTable.from_columns(orbits, A1, {1: [(EdgeType.U, 1, 1, [1, 0])]})
+    orbits = ("O", "Q"), b"\0\0", b"\0\0"
+    table = ReflectionTable.from_columns(A1, {1: [(EdgeType.U, 1, 1, [1, 0])]}, *orbits)
     assert table.reflection_permutation(1) == {"O": "Q", "Q": "O"}
     assert table.span_of("O", 1) == Span(1, EdgeType.U, ("Q",), ("O",))
     cases = [
@@ -304,32 +304,66 @@ def test_index_columns_enter_the_same_checks():
     ]
     for columns, message in cases:
         with pytest.raises(ValueError, match=message):
-            ReflectionTable.from_columns(orbits, A1, columns)
+            ReflectionTable.from_columns(A1, columns, *orbits)
 
 
 def test_index_runs_with_a_partial_span_are_refused():
     # A U run of three members would end in a U span of one orbit, ('c'; 'c'), and a
     # T1 run of two members in Python's own slice-assignment error.
-    orbits = [Orbit("a", True, True), Orbit("b"), Orbit("c", True, True)]
+    orbits = ("a", "b", "c"), b"\1\0\1", b"\1\0\1"
     for run in ((EdgeType.U, 1, 1, [0, 1, 2]), (EdgeType.T1, 1, 2, [1, 0])):
         message = f"span of type {run[0].value} at root 1 has wrong slot counts"
         with pytest.raises(ValueError, match=message):
-            ReflectionTable.from_columns(orbits, A1, {1: [run]})
+            ReflectionTable.from_columns(A1, {1: [run]}, *orbits)
 
 
 def test_index_columns_take_orbits_in_name_order():
     # Orbit k is the k-th given; re-sorting them would silently pair 'a' with 'm'.
-    orbits = [Orbit("z"), Orbit("a"), Orbit("m")]
     columns = {1: [(EdgeType.U, 1, 1, [0, 1]), (EdgeType.P, 1, 0, [2])]}
     with pytest.raises(ValueError, match="orbits must be in name order, got 'a' after 'z'"):
-        ReflectionTable.from_columns(orbits, A1, columns)
+        ReflectionTable.from_columns(A1, columns, ("z", "a", "m"), bytes(3), bytes(3))
     with pytest.raises(ValueError, match="orbit names must be unique"):
-        ReflectionTable.from_columns([Orbit("a"), Orbit("a")], A1, {})
+        ReflectionTable.from_columns(A1, {}, ("a", "a"), bytes(2), bytes(2))
     # The name-form constructor sorts its orbits first.
     with pytest.raises(ValueError, match="orbit names must be unique"):
         ReflectionTable([Orbit("b"), Orbit("a"), Orbit("b")], A1, [])
     with pytest.raises(ValueError, match="orbit name must be nonempty"):
         ReflectionTable([Orbit("b"), Orbit("")], A1, [])
+
+
+@pytest.mark.parametrize(
+    "names, is_open, max_rank, dims, message",
+    [
+        (("a", "c", "b"), bytes(3), bytes(3), None, "orbits must be in name order, got 'b' after 'c'"),
+        (("a", "b", "b"), bytes(3), bytes(3), None, "orbit names must be unique"),
+        (("", "a"), bytes(2), bytes(2), None, "orbit name must be nonempty"),
+        (("a", "b"), b"\0\1", b"\1\0", None, "open orbit 'b' must be of maximal rank"),
+        (("a", "b"), bytes(1), bytes(2), None, "orbit columns must have one entry per orbit name"),
+        (("a", "b"), bytes(2), bytes(2), (1,), "orbit columns must have one entry per orbit name"),
+    ],
+    ids=["order", "duplicate", "empty", "open-not-max-rank", "short-flags", "short-dims"],
+)
+def test_orbit_columns_are_refused_like_orbit_records(names, is_open, max_rank, dims, message):
+    # The columns enter unsorted and uncovered by spans: the orbit checks come first.
+    with pytest.raises(ValueError) as refused:
+        ReflectionTable.from_columns(A1, {}, names, is_open, max_rank, dims)
+    assert str(refused.value) == message
+
+
+def test_core_runs_may_be_arrays_and_are_consumed():
+    # A build hands its runs over as arrays; a finished root's runs leave the dict.
+    from array import array
+
+    names = tuple(f"o{k:03d}" for k in range(600))
+    swaps = array("I", (k ^ 1 for k in range(600)))  # U spans (o001; o000), (o003; o002), ...
+    columns = {1: [(EdgeType.U, 1, 1, swaps)], 2: [(EdgeType.P, 1, 0, array("I", range(600)))]}
+    table = ReflectionTable.from_columns(A2, columns, names, bytes(600), bytes(600))
+    assert columns == {}
+    assert table.span_of("o000", 1) == Span(1, EdgeType.U, ("o001",), ("o000",))
+    assert table.reflection_permutation(1)["o598"] == "o599"
+    # Indices read from an array share one int object per orbit across the columns.
+    reflections = table._reflections.values()
+    assert len({id(k) for perm in reflections for k in perm}) == 600
 
 
 def test_uncovered_orbits_are_named_ten_at_most():
@@ -570,6 +604,8 @@ def test_orbit_classes_match_breadth_first_oracle(table, data):
         assert _outcome(lambda: table.subgroup_orbits(gens, domain)) == _outcome(
             lambda: subgroup_orbits_oracle(table, gens, domain)
         )
+    # No domain means every orbit.
+    assert table.subgroup_orbits(gens) == table.subgroup_orbits(gens, None) == blocks
     assert _outcome(table.real_group_orbit_classes) == _outcome(
         lambda: real_classes_oracle(table)
     )

@@ -69,6 +69,14 @@ def test_enumeration_is_lexicographic():
     assert pats == sorted(pats, key=SignedPattern.sort_key)
 
 
+@pytest.mark.parametrize("n, r", [(1, 0), (4, 3), (6, 6), (10, 4), (11, 4)])
+@pytest.mark.parametrize("signed", [True, False])
+def test_pattern_texts_are_the_enumeration_in_its_order(n, r, signed):
+    # From n = 10 on, arcs such as [1,10] sort as numbers, not as text.
+    pats = sorted(enumerate_patterns(n, r, signed=signed), key=SignedPattern.sort_key)
+    assert patterns_module.pattern_texts(n, r, signed=signed) == [p.to_text() for p in pats]
+
+
 def test_enumeration_rejects_bad_shapes():
     with pytest.raises(ValueError):
         enumerate_patterns(2, 3)
@@ -289,6 +297,29 @@ def test_a_built_table_holds_its_orbits_as_columns(monkeypatch):
         tracemalloc.stop()
     assert len(table.orbit_names) == 13972
     assert held < 4.5 * 2**20
+
+
+def test_the_largest_admitted_pattern_table_holds_at_most_35_mb(monkeypatch):
+    """Traced memory the finished n = r = 10 table holds: 33.1-33.5 MB, and 40.7 MB when it
+    kept the build's ints beside its own and its links were lists.  Tracing makes the build
+    some 40 times slower here: about 45 s."""
+    monkeypatch.setattr(patterns_module, "_TABLES", weakref.WeakValueDictionary())  # build it here
+    tracemalloc.start()
+    try:
+        table = build_table(10, 10)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table.orbit_names) == 123109
+    assert held < 35 * 2**20
+
+
+@pytest.mark.parametrize("n, r, signed", [(5, 3, True), (6, 4, False), (7, 7, True)])
+def test_subgroup_orbits_default_to_every_orbit(n, r, signed):
+    table = build_table(n, r) if signed else build_complex_table(n, r)
+    for gens in ([], [1], [1, 3], range(1, n)):
+        assert table.subgroup_orbits(gens) == table.subgroup_orbits(gens, table.orbit_names)
+        assert table.subgroup_orbits(gens, None) == table.subgroup_orbits(gens, table.orbit_names)
 
 
 def test_built_tables_are_shared_only_while_held():
