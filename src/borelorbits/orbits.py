@@ -241,8 +241,8 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
     """The reflection, link and kind columns of one root, or None when a check fails.
 
     Every orbit takes exactly one slot (kinds start at 255, which no slot
-    has); two slots of one kind are put in index order.  Members read from an
-    array, which boxes each read, map through ``identity``: one int per orbit.
+    has); two slots of one kind are put in index order.  Members map through
+    ``identity``, so the columns share one int per orbit.
     """
     perm, link, kind = identity.copy(), identity.copy(), bytearray(b"\xff") * len(identity)
     for edge, opens, lowers, members in runs:
@@ -251,7 +251,7 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
             return None
         if members and (min(members) < 0 or max(members) >= len(identity)):
             return None
-        read = members if isinstance(members, list) else [*map(identity.__getitem__, members)]
+        read = [*map(identity.__getitem__, members)]
         columns = [read[slot::width] for slot in range(width)]
         for first, size in ((0, opens), (opens, lowers)):
             if size == 2:

@@ -895,9 +895,9 @@ def test_quadratic_orbits_json_is_written_as_it_is_made(monkeypatch):
 
 
 def test_largest_quadratic_benchmark_command_peaks_under_15_mb(monkeypatch):
-    """Peak traced memory of the n = 9, r = 6 subgroup orbits (41,916 orbits): 12.5-13.0 MB, and
+    """Peak traced memory of the n = 9, r = 6 subgroup orbits (41,916 orbits): 13.8 MB, and
     19.5-19.7 MB when the build made an Orbit record per pattern, kept every root's rewrites and
-    runs as lists, and the domain was the list of all names.  Tracing takes about 17 s here."""
+    runs as lists, and the domain was the list of all names.  Tracing makes it take about 15 s."""
     monkeypatch.setattr(patterns, "_TABLES", weakref.WeakValueDictionary())  # build it here
     argv = "orbits --example quadratic --n 9 --r 6 --generators 1,2,3,4,5,6,7,8 --format json"
     with open(os.devnull, "w", encoding="utf-8") as sink:

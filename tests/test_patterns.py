@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -299,19 +300,28 @@ def test_a_built_table_holds_its_orbits_as_columns(monkeypatch):
     assert held < 4.5 * 2**20
 
 
-def test_the_largest_admitted_pattern_table_holds_at_most_35_mb(monkeypatch):
-    """Traced memory the finished n = r = 10 table holds: 33.1-33.5 MB, and 40.7 MB when it
-    kept the build's ints beside its own and its links were lists.  Tracing makes the build
-    some 40 times slower here: about 45 s."""
-    monkeypatch.setattr(patterns_module, "_TABLES", weakref.WeakValueDictionary())  # build it here
-    tracemalloc.start()
-    try:
-        table = build_table(10, 10)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+def _held_size(table) -> int:
+    """``sys.getsizeof`` summed over the unique objects a table holds, through its containers."""
+    seen, total, todo = set(), 0, list(vars(table).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            if isinstance(obj, dict):
+                todo += [*obj.keys(), *obj.values()]
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
+    return total
+
+
+def test_the_largest_admitted_pattern_table_holds_at_most_35_mb():
+    """The finished n = r = 10 table holds 32.6 MB, and 39.5 MB when it kept the build's ints
+    beside its own and its links were lists.  Sizes are summed, not traced: tracing the build
+    makes it some 40 times slower."""
+    table = build_table(10, 10)
     assert len(table.orbit_names) == 123109
-    assert held < 35 * 2**20
+    assert _held_size(table) < 35 * 2**20
 
 
 @pytest.mark.parametrize("n, r, signed", [(5, 3, True), (6, 4, False), (7, 7, True)])
