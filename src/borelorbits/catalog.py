@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 from . import EXAMPLE_NAMES
 from .lattice import IntegerMatrix, count_open_real_orbits, elementary_divisors
-from .orbits import EdgeType, Orbit, ReflectionTable, Span, check_orbit_count
-from .orbits import orbit_columns, span_runs
+from .orbits import EdgeType, Orbit, ReflectionTable, Span, _name_runs, check_orbit_count
 from .rootdata import CartanSpec, SphericalDatum
 
 
@@ -117,10 +116,9 @@ def _coeff_vector(n: int, *terms: tuple[int, int]) -> list[int]:
 
 def _table(orbits: list[Orbit], cartan: CartanSpec, spans: list[Span]) -> ReflectionTable:
     """The table of ``spans``, with a P span for every (root, orbit) cell they leave uncovered."""
-    by_name = orbit_columns(orbits)  # the orbit columns from_columns takes, in name order
-    columns, index = span_runs(spans, by_name[0], cartan.rank)
+    by_name, columns, labels, _ = _name_runs(orbits, spans, cartan.rank)
     for runs in columns.values():
-        uncovered = bytearray(b"\x01") * len(index)
+        uncovered = bytearray(b"\x01") * len(labels)
         for *_, members in runs:
             for k in members:
                 uncovered[k] = 0

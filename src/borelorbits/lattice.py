@@ -8,12 +8,12 @@ coordinates sitting at the even divisors.
 
 Everything here is exact.  Matrices carry arbitrary-precision Python
 integers; there is no floating point and no modular arithmetic.  One
-elimination, ``_diagonalize``, serves every caller and runs one path: it
-reduces the leading block of a matrix, and whatever lies right of or below
-that block rides along with the row and column operations.  Only
-``smith_normal_form`` puts something there: an identity to the right of M,
-which becomes u, and one below M, which becomes v.  ``elementary_divisors``
-and ``IntegerMatrix.rank`` pass the bare matrix.
+elimination, ``_diagonalize``, serves every Smith form and runs one path:
+it reduces the leading block of a matrix, and whatever lies right of or
+below that block rides along with the row and column operations.  Only
+``smith_normal_form`` puts an identity right of M, which becomes u, and one
+below, which becomes v.  ``IntegerMatrix.rank`` needs no Smith form: it
+counts the pivot rows of one Hermite pass (``_hermite_rows``).
 
 The elimination alternates row and column Hermite passes in the order of
 Kannan and Bachem (SIAM J. Comput. 1979), keeping each Hermite form
@@ -99,9 +99,10 @@ class IntegerMatrix:
         return _det_bareiss([list(row) for row in self.entries])
 
     def rank(self) -> int:
-        """Rank over the rationals: the nonzero Smith diagonal, without transforms."""
-        diag = _diagonalize([list(r) for r in self.entries], self.rows, self.cols)
-        return sum(1 for d in diag if d != 0)
+        """Rank over the rationals: the pivot rows of one Hermite pass, no Smith form."""
+        rows = [list(r) for r in self.entries]
+        _hermite_rows(rows, self.rows, self.cols)
+        return sum(map(any, rows))
 
     def to_json(self) -> dict:
         return {

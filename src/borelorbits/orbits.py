@@ -40,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, compress, count, islice, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, ge, gt, ne
+from operator import ge, gt, itemgetter, ne
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rootdata import CartanSpec
@@ -279,43 +279,48 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
     return None if 255 in kind else (perm, array("I", link), bytes(kind))
 
 
-def orbit_columns(orbits: Iterable[Orbit]) -> tuple[tuple, ...]:
-    """``orbits`` sorted by name, as columns: names, open flags, max-rank flags and dims."""
-    orbits = sorted(orbits, key=attrgetter("name"))
-    return tuple(tuple(map(attrgetter(field), orbits)) for field in Orbit._fields)
+def _name_runs(orbits: Iterable, spans: Iterable, rank: int):
+    """The orbit columns in name order, runs per root, labels and input-order walk of the core.
 
-
-def span_runs(spans: Iterable[Span], names: Sequence[str], rank: int) -> tuple[dict, dict]:
-    """Name-form spans as the per-root runs of :meth:`ReflectionTable.from_columns`.
-
-    The spans of one shape at a root form one run, in input order; orbit k
-    is ``names[k]``.  Also returns the name -> index map used, grown by every
-    name it lacks, each given the next index, so the core refuses it as unknown.
+    ``orbits`` are ``(name, open, max_rank, dim)`` and ``spans`` ``(root, type,
+    opens, lowers)``, as records or plain tuples.  The spans of one shape at a
+    root form one run, in input order; a name no orbit has gets the next index
+    and label, so the core refuses it as unknown.  ``in_order(root)`` yields
+    the root's spans as (type, open indices, lower indices), only to word a refusal.
     """
-    runs: dict[tuple, list[str]] = {}
+    orbits = sorted(orbits, key=itemgetter(0))
+    orbit_columns = tuple(tuple(map(itemgetter(field), orbits)) for field in range(4))
+    spans = spans if isinstance(spans, list) else list(spans)
+    runs: dict[tuple, list] = {}
     for root, edge, oo, lo in spans:
         members = runs.setdefault((root, edge, len(oo), len(lo)), [])
         members += oo
         members += lo
-    index = defaultdict(count(len(names)).__next__, zip(names, range(len(names))))
-    columns: dict = {root: [] for root in range(1, rank + 1)}
+    index = defaultdict(count(len(orbits)).__next__, zip(orbit_columns[0], count()))
+    by_root: dict = {root: [] for root in range(1, rank + 1)}
     for (root, *shape), members in runs.items():
         members[:] = map(index.__getitem__, members)
         # A root out of range enters here in input order; the core refuses it.
-        columns.setdefault(root, []).append((*shape, members))
-    return columns, index
+        by_root.setdefault(root, []).append((*shape, members))
+
+    def in_order(root):
+        for at, edge, oo, lo in spans:
+            if at == root:
+                yield edge, [*map(index.__getitem__, oo)], [*map(index.__getitem__, lo)]
+
+    return orbit_columns, by_root, tuple(index), in_order
 
 
 class ReflectionTable:
     """Immutable orbit set with a span decomposition per simple root.
 
     Orbit k is the k-th name in sorted order.  The constructor maps the names
-    in its :class:`Span` objects to indices (:func:`span_runs`); the pattern
-    and catalog builds pass index runs to :meth:`from_columns`.  Both enter
-    one validating core, which checks that at each root the spans partition
-    the orbits, that slot counts match each span's type, that globally open
-    orbits only occupy open slots, and (when dimensions are given) that
-    U-spans step down one dimension.
+    of its orbits and spans, :class:`Orbit` and :class:`Span` records or plain
+    tuples, to indices (:func:`_name_runs`); the pattern and catalog builds pass
+    index runs to :meth:`from_columns`.  Both enter one validating core, which
+    checks that at each root the spans partition the orbits, that slot counts
+    match each span's type, that globally open orbits only occupy open slots,
+    and (when dimensions are given) that U-spans step down one dimension.
 
     Per root the core keeps three columns over the orbits: the reflection, a
     ``list[int]`` involution; the kind, a byte for the type and slot of the
@@ -325,16 +330,9 @@ class ReflectionTable:
     """
 
     def __init__(self, orbits: Iterable[Orbit], cartan: CartanSpec, spans: Iterable[Span]) -> None:
-        self._take_orbits(*orbit_columns(orbits))
-        spans = spans if isinstance(spans, list) else list(spans)
-        columns, index = span_runs(spans, self._names, cartan.rank)
-
-        def in_order(root):
-            for at, edge, oo, lo in spans:
-                if at == root:
-                    yield edge, [*map(index.__getitem__, oo)], [*map(index.__getitem__, lo)]
-
-        self._assemble(cartan, columns, in_order, tuple(index))
+        orbit_columns, columns, labels, in_order = _name_runs(orbits, spans, cartan.rank)
+        self._take_orbits(*orbit_columns)
+        self._assemble(cartan, columns, in_order, labels)
 
     @classmethod
     def from_columns(cls, cartan: CartanSpec, columns: dict, names, is_open, max_rank, dims=None):
@@ -674,7 +672,7 @@ class ReflectionTable:
                 raise ValueError(f"orbit 'id' must be a nonempty string, got {name!r}")
             flags = _json_flag(entry, "open"), _json_flag(entry, "max_rank")
             dim = _json_int(entry["dim"], "orbit 'dim'") if "dim" in entry else None
-            orbits.append(Orbit(name, *flags, dim))
+            orbits.append((name, *flags, dim))
         spans = []
         for entry in span_objs:
             if not isinstance(entry, dict):
@@ -686,7 +684,7 @@ class ReflectionTable:
             except ValueError:
                 raise ValueError(f"unknown edge type {entry.get('type')!r}") from None
             root = _json_int(entry["root"], "span 'root'")
-            spans.append(Span(root, edge, _json_names(entry, "open"), _json_names(entry, "lower")))
+            spans.append((root, edge, _json_names(entry, "open"), _json_names(entry, "lower")))
         return cls(orbits=orbits, cartan=CartanSpec.from_json(cartan_obj), spans=spans)
 
     def iter_json(self) -> Iterator[str]:
@@ -701,10 +699,11 @@ class ReflectionTable:
         """
         p0, p1, p2, p3, p4 = ("\n" + "  " * level for level in range(5))
         orbits = []
-        for o in self.orbits:
-            flags = f'"open": {_JSON_BOOL[o.is_open]},{p3}"max_rank": {_JSON_BOOL[o.is_max_rank]}'
-            dim = "" if o.dim is None else f',{p3}"dim": {json.dumps(o.dim)}'
-            orbits.append(f'{p2}{{{p3}"id": {encode_basestring(o.name)},{p3}{flags}{dim}{p2}}}')
+        columns = self._names, self._open, self._max_rank, self._dims or repeat(None)
+        for name, is_open, max_rank, dim in zip(*columns):
+            flags = f'"open": {_JSON_BOOL[is_open]},{p3}"max_rank": {_JSON_BOOL[max_rank]}'
+            dim = "" if dim is None else f',{p3}"dim": {json.dumps(dim)}'
+            orbits.append(f'{p2}{{{p3}"id": {encode_basestring(name)},{p3}{flags}{dim}{p2}}}')
         orbits_text = f"[{','.join(orbits)}{p1}]" if orbits else "[]"
         cartan = json.dumps(self.cartan.to_json(), indent=2, ensure_ascii=False).replace("\n", p1)
         yield f'{{{p1}"orbits": {orbits_text},{p1}"cartan": {cartan},{p1}"spans": ['

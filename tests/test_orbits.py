@@ -678,3 +678,81 @@ def test_dot_is_streamed_one_part_per_root():
     assert len(parts) == table.cartan.rank + 2
     assert "".join(parts) == table.to_dot()
     assert parts[0].startswith("graph orbits {\n") and parts[-1] == "}\n"
+
+
+# -- the two name-form readers: records and table JSON ----------------------------
+
+_FAULTS = ("unknown", "repeat", "slots", "root", "uncovered")
+
+
+def _seeded_fault(kind, span, rank):
+    """The spans that stand in for ``span`` once the fault ``kind`` is put into it."""
+    root, edge, oo, lo = span
+    if kind == "unknown":  # no random name has a letter outside "ab+-"
+        return [span._replace(open_orbits=oo[:-1] + ("ghost",))]
+    if kind == "repeat":  # a member twice in the span, or in a second span at the root
+        if lo:
+            return [span._replace(lower_orbits=lo[:-1] + oo[:1])]
+        return [span, Span(root, EdgeType.P, oo[:1])]
+    if kind == "slots":
+        return [span._replace(type=EdgeType.U if (len(oo), len(lo)) == (1, 0) else EdgeType.P)]
+    if kind == "root":
+        return [span._replace(root=rank + 1)]
+    return []  # uncovered: the span's cells are left without a span
+
+
+def _table_payload(orbits, cartan, spans):
+    """The table JSON object of name-form records, faulty ones included."""
+    entries = []
+    for name, is_open, max_rank, dim in orbits:
+        entries.append({"id": name, "open": is_open, "max_rank": max_rank})
+        if dim is not None:
+            entries[-1]["dim"] = dim
+    objs = []
+    for root, edge, oo, lo in spans:
+        objs.append({"root": root, "type": edge.value, "open": list(oo)})
+        if lo:
+            objs[-1]["lower"] = list(lo)
+    return {"orbits": entries, "cartan": cartan.to_json(), "spans": objs}
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=random_tables(), data=st.data())
+def test_records_and_table_json_are_read_alike(table, data):
+    # Both readers give the same table text or the same refusal, faults in any order.
+    cartan, orbits = table.cartan, list(table.orbits)
+    if data.draw(st.booleans(), label="with dims"):
+        dims = st.lists(st.none() | st.integers(0, 3), min_size=len(orbits), max_size=len(orbits))
+        orbits = [o._replace(dim=dim) for o, dim in zip(orbits, data.draw(dims, label="dims"))]
+    spans = [span for by_root in table.spans.values() for span in by_root]
+    at = st.integers(0, len(spans) - 1)
+    faults = data.draw(st.lists(st.tuples(st.sampled_from(_FAULTS), at), max_size=2))
+    if data.draw(st.booleans(), label="two faults at one root"):
+        root = data.draw(st.integers(1, cartan.rank), label="root")
+        there = st.sampled_from([k for k, span in enumerate(spans) if span.root == root])
+        faults += data.draw(st.lists(st.tuples(st.sampled_from(_FAULTS), there), min_size=2,
+                                     max_size=2), label="faults at the root")
+    slots = [[span] for span in spans]
+    for kind, k in faults:
+        if slots[k]:
+            slots[k] = _seeded_fault(kind, slots[k][0], cartan.rank) + slots[k][1:]
+    spans = data.draw(st.permutations([span for slot in slots for span in slot]), label="order")
+    payload = _table_payload(orbits, cartan, spans)
+    from_records = _outcome(lambda: "".join(ReflectionTable(orbits, cartan, spans).iter_json()))
+    from_json = _outcome(lambda: "".join(ReflectionTable.from_json(payload).iter_json()))
+    assert from_records == from_json
+
+
+def test_table_json_is_read_without_records(monkeypatch):
+    # from_json hands the reader plain tuples, and iter_json writes from the columns.
+    from borelorbits.catalog import build_ordered_pairs
+
+    payload = build_ordered_pairs(3)[1].to_json()  # with dims, open orbits and T1/U spans
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record was made")
+
+    monkeypatch.setattr(orbits_module, "Orbit", refuse)
+    monkeypatch.setattr(orbits_module, "Span", refuse)
+    table = ReflectionTable.from_json(payload)
+    assert "".join(table.iter_json()) == json.dumps(payload, indent=2, ensure_ascii=False)
