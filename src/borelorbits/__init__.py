@@ -30,7 +30,7 @@ EXAMPLE_NAMES = ("ordered_pairs", "unordered_pairs", "torus_counterexample", "g2
 _ORIGIN = {
     name: module
     for module, names in {
-        "catalog": "CatalogExample ExampleSpec build_example build_g2_case build_ordered_pairs "
+        "catalog": "CatalogExample build_example build_g2_case build_ordered_pairs "
         "build_torus_counterexample build_unordered_pairs",
         "lattice": "DivisorList IntegerMatrix SnfDecomposition count_open_real_orbits "
         "elementary_divisors sign_coordinates smith_normal_form",

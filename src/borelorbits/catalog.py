@@ -45,15 +45,6 @@ from .rootdata import CartanSpec, SphericalDatum
 
 
 @dataclass(frozen=True)
-class ExampleSpec:
-    """A catalog example by name, with its size or Cartan parameter."""
-
-    name: str
-    n: int | None = None
-    cartan: CartanSpec | None = None
-
-
-@dataclass(frozen=True)
 class CatalogExample:
     name: str
     table: ReflectionTable
@@ -78,23 +69,25 @@ def canonical_example_name(name: str) -> str:
     return key
 
 
-def build_example(spec: ExampleSpec) -> CatalogExample:
+def build_example(
+    name: str, n: int | None = None, cartan: CartanSpec | None = None
+) -> CatalogExample:
     """The named example; a size or Cartan parameter its family does not take is refused."""
-    name = canonical_example_name(spec.name)
-    if spec.n is not None and name not in ("ordered_pairs", "unordered_pairs"):
+    name = canonical_example_name(name)
+    if n is not None and name not in ("ordered_pairs", "unordered_pairs"):
         raise ValueError(f"{name} does not take the size parameter n")
-    if spec.cartan is not None and name != "torus_counterexample":
+    if cartan is not None and name != "torus_counterexample":
         raise ValueError(f"{name} does not take a Cartan matrix")
     if name in ("ordered_pairs", "unordered_pairs"):
-        if spec.n is None:
+        if n is None:
             raise ValueError(f"{name} needs the size parameter n")
         build = build_ordered_pairs if name == "ordered_pairs" else build_unordered_pairs
-        datum, table = build(spec.n)
+        datum, table = build(n)
         return CatalogExample(name=name, table=table, datum=datum)
     if name == "torus_counterexample":
-        if spec.cartan is None:
+        if cartan is None:
             raise ValueError("torus_counterexample needs a Cartan matrix")
-        return CatalogExample(name=name, table=build_torus_counterexample(spec.cartan))
+        return CatalogExample(name=name, table=build_torus_counterexample(cartan))
     return CatalogExample(name=name, table=build_g2_case())
 
 

@@ -112,7 +112,7 @@ def _load_table(args) -> orbits.ReflectionTable:
         name = catalog.canonical_example_name(name)
         _refuse_unused(args, f"example {name!r}", ("n", "cartan"))
         cartan = _parse_cartan(args.cartan) if args.cartan else None
-        return catalog.build_example(catalog.ExampleSpec(name, args.n, cartan)).table
+        return catalog.build_example(name, args.n, cartan).table
     raise ValueError("provide a table via --table FILE or --example NAME")
 
 
@@ -216,7 +216,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_example(args) -> int:
     cartan = _parse_cartan(args.cartan) if args.cartan else None
-    example = catalog.build_example(catalog.ExampleSpec(args.name, args.n, cartan))
+    example = catalog.build_example(args.name, args.n, cartan)
     # Written as it is made: the text of a large table is never held whole.
     if args.emit == "dot":
         sys.stdout.writelines(example.table.iter_dot())

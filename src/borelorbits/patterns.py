@@ -69,12 +69,6 @@ def _arc_suffix(arcs: tuple[tuple[int, int], ...]) -> str:
     return " " + "".join(f"[{j},{k}]" for j, k in arcs) if arcs else ""
 
 
-def _transpose_arcs(arcs: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[int, int], ...]:
-    """Arcs carried through the swap of positions i and i+1, normalized."""
-    swap = {i: i + 1, i + 1: i}
-    return tuple(sorted(tuple(sorted((swap.get(j, j), swap.get(k, k)))) for j, k in arcs))
-
-
 def classify_cell(x: str, y: str, px: int, py: int, i: int) -> tuple[EdgeType, bool]:
     """The span type at positions (i, i+1) and whether the pattern is open in it.
 
@@ -130,15 +124,6 @@ class SignedPattern:
             for p, e in enumerate(self.entries, start=1):
                 if e == DOT and p not in used:
                     raise ValueError(f"bare dot at {p} in a signed pattern")
-
-    @classmethod
-    def _unchecked(cls, entries: tuple[str, ...], arcs: tuple[tuple[int, int], ...]):
-        # Internal fast path for operations that preserve validity; arcs must
-        # already be normalized (each pair ascending, pairs sorted).
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "arcs", arcs)
-        return self
 
     @property
     def n(self) -> int:
@@ -198,7 +183,9 @@ class SignedPattern:
         self._check_position(i)
         entries = list(self.entries)
         entries[i - 1], entries[i] = entries[i], entries[i - 1]
-        return SignedPattern._unchecked(tuple(entries), _transpose_arcs(self.arcs, i))
+        swap = {i: i + 1, i + 1: i}
+        arcs = tuple((swap.get(j, j), swap.get(k, k)) for j, k in self.arcs)
+        return SignedPattern(tuple(entries), arcs)
 
     def _check_position(self, i: int) -> None:
         if not 1 <= i <= self.n - 1:
@@ -266,15 +253,16 @@ def _matchings(points: tuple[int, ...]):
 
 
 def _refuse_oversized(n: int, r: int, signed: bool) -> None:
-    """Refuse a shape with too many patterns, or whose Cartan rank n - 1 is over the limit."""
-    check_orbit_count(pattern_count(n, r, signed), f"patterns n={n} r={r}")
+    """Refuse a bad shape, then a Cartan rank n - 1 over the limit, then too many patterns."""
+    _check_shape(n, r)
     check_rank(n - 1)
+    check_orbit_count(pattern_count(n, r, signed), f"patterns n={n} r={r}")
 
 
 def _pattern_parts(n: int, r: int, signed: bool):
     """Text and arcs of every pattern with n positions and rank r, unsorted.
 
-    The one enumeration, read by :func:`_sorted_parts` and the table build;
+    The one enumeration, read by :func:`pattern_texts` and the table build;
     callers refuse an oversized shape first.
     """
     # Complex singles are bare dots: one choice per single position.
@@ -295,26 +283,25 @@ def _pattern_parts(n: int, r: int, signed: bool):
                         yield form % signs, arcs
 
 
-def _sorted_parts(n: int, r: int, signed: bool) -> list[tuple[str, tuple]]:
-    """Text and arcs of every pattern, in :meth:`SignedPattern.sort_key` order."""
+def pattern_texts(n: int, r: int, signed: bool = True) -> list[str]:
+    """The texts of all patterns with n positions and rank r, in lexicographic order.
+
+    The order is :meth:`SignedPattern.sort_key`'s; no pattern object is made.
+    A shape is refused before anything is allocated when its table's Cartan
+    rank n - 1 is over the rank limit, or when it has too many patterns.
+    """
     _refuse_oversized(n, r, signed)
-    return sorted(_pattern_parts(n, r, signed), key=lambda p: (p[0][:n].translate(_SORT_TR), p[1]))
+    parts = sorted(_pattern_parts(n, r, signed), key=lambda p: (p[0][:n].translate(_SORT_TR), p[1]))
+    return [text for text, _ in parts]
 
 
 def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPattern]:
     """All patterns with n positions and rank r, in lexicographic order.
 
-    The shape is refused before anything is allocated when it has too many
-    patterns, or when its table's Cartan rank n - 1 is over the rank limit.
+    The checked parse of :func:`pattern_texts`: each text goes through the
+    model's own validation, so the enumeration cannot yield an invalid pattern.
     """
-    entry = {e: e for e in _ENTRY_ORDER}.__getitem__  # tuple(text) would copy every dot
-    parts = _sorted_parts(n, r, signed)
-    return [SignedPattern._unchecked(tuple(map(entry, text[:n])), arcs) for text, arcs in parts]
-
-
-def pattern_texts(n: int, r: int, signed: bool = True) -> list[str]:
-    """The texts of :func:`enumerate_patterns`, in its order, made with no pattern object."""
-    return [text for text, _ in _sorted_parts(n, r, signed)]
+    return [SignedPattern.from_text(text) for text in pattern_texts(n, r, signed)]
 
 
 # A pattern's record: one byte per entry (Latin-1 with "?" for the dot, then
@@ -419,7 +406,6 @@ _TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _table(n: int, r: int, signed: bool) -> ReflectionTable:
-    _check_shape(n, r)
     table = _TABLES.get((n, r, signed))
     if table is None:
         _refuse_oversized(n, r, signed)

@@ -5,7 +5,6 @@ import pytest
 from borelorbits import (
     CartanSpec,
     EdgeType,
-    ExampleSpec,
     IntegerMatrix,
     ReflectionTable,
     Span,
@@ -282,46 +281,46 @@ def test_pairs_braid_invariant_and_refinement(n):
 
 
 def test_build_example_dispatch():
-    example = build_example(ExampleSpec(name="ordered", n=3))
+    example = build_example("ordered", n=3)
     assert example.name == "ordered_pairs"
     assert example.datum is not None
 
-    example = build_example(ExampleSpec(name="torus", cartan=CartanSpec.from_label("A2")))
+    example = build_example("torus", cartan=CartanSpec.from_label("A2"))
     assert example.datum is None
     assert len(example.table.open_orbit_names) == 4
 
-    example = build_example(ExampleSpec(name="g2_case"))
+    example = build_example("g2_case")
     assert example.table.cartan == CartanSpec.from_label("G2")
 
     with pytest.raises(ValueError, match="unknown example"):
-        build_example(ExampleSpec(name="mystery"))
+        build_example("mystery")
     with pytest.raises(ValueError, match="needs"):
-        build_example(ExampleSpec(name="ordered_pairs"))
+        build_example("ordered_pairs")
     with pytest.raises(ValueError, match="needs"):
-        build_example(ExampleSpec(name="torus_counterexample"))
+        build_example("torus_counterexample")
 
 
 @pytest.mark.parametrize(
     "spec,message",
     [
-        (ExampleSpec("g2", cartan=CartanSpec.from_label("A5")), "g2_case does not take a Cartan"),
-        (ExampleSpec("g2_case", n=3), "g2_case does not take the size parameter n"),
-        (ExampleSpec("ordered", n=3, cartan=CartanSpec.from_label("A9")), "does not take a Cartan"),
-        (ExampleSpec("unordered_pairs", n=4, cartan=CartanSpec.from_label("B4")), "a Cartan"),
-        (ExampleSpec("torus", n=7, cartan=CartanSpec.from_label("A3")), "the size parameter n"),
+        (dict(name="g2", cartan=CartanSpec.from_label("A5")), "g2_case does not take a Cartan"),
+        (dict(name="g2_case", n=3), "g2_case does not take the size parameter n"),
+        (dict(name="ordered", n=3, cartan=CartanSpec.from_label("A9")), "does not take a Cartan"),
+        (dict(name="unordered_pairs", n=4, cartan=CartanSpec.from_label("B4")), "a Cartan"),
+        (dict(name="torus", n=7, cartan=CartanSpec.from_label("A3")), "the size parameter n"),
     ],
 )
 def test_example_refuses_parameters_its_family_does_not_take(spec, message):
     with pytest.raises(ValueError, match=message):
-        build_example(spec)
+        build_example(**spec)
 
 
 def test_catalog_tables_round_trip_through_json():
     for example in (
-        build_example(ExampleSpec(name="ordered", n=4)),
-        build_example(ExampleSpec(name="unordered", n=5)),
-        build_example(ExampleSpec(name="g2_case")),
-        build_example(ExampleSpec(name="torus", cartan=CartanSpec.from_label("B3"))),
+        build_example("ordered", n=4),
+        build_example("unordered", n=5),
+        build_example("g2_case"),
+        build_example("torus", cartan=CartanSpec.from_label("B3")),
     ):
         table = example.table
         again = ReflectionTable.from_json(table.to_json())

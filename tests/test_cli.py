@@ -547,6 +547,30 @@ def test_sylvester_refuses_an_oversized_rank_before_building(capsys, monkeypatch
     assert message == "Cartan rank 9999999 is over the rank limit 200"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("patterns", "--n", "5000", "--r", "2500"),
+        ("sylvester", "--n", "5000", "--r", "2500"),
+        ("braid-check", "--example", "quadratic", "--n", "5000", "--r", "2500"),
+    ],
+    ids=["patterns", "sylvester", "braid-check"],
+)
+def test_pattern_shapes_over_the_rank_limit_are_refused_before_counting(capsys, monkeypatch, argv):
+    # The exact count of this shape has over 4,300 digits: counted first, it
+    # could not be worded, and a larger shape takes seconds to count.
+    def count(*args):
+        raise AssertionError("the patterns were counted")
+
+    monkeypatch.setattr(patterns, "pattern_count", count)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ValueError",
+        "message": "Cartan rank 4999 is over the rank limit 200",
+    }
+
+
 def test_outputs_conform_to_published_schemas(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     from pathlib import Path

@@ -78,6 +78,33 @@ def test_pattern_texts_are_the_enumeration_in_its_order(n, r, signed):
     assert patterns_module.pattern_texts(n, r, signed=signed) == [p.to_text() for p in pats]
 
 
+@pytest.mark.parametrize(
+    "signed, bad, message",
+    [
+        (True, ("•+", ()), "bare dot at 1 in a signed pattern"),
+        (False, ("+• [1,2]", ((1, 2),)), "arc endpoint 1 must be a dot entry"),
+    ],
+    ids=["bare-dot", "arc-on-a-sign"],
+)
+def test_enumeration_is_checked_by_the_model(monkeypatch, signed, bad, message):
+    parts = patterns_module._pattern_parts
+
+    def with_a_bad_part(n, r, signed):
+        yield from parts(n, r, signed)
+        yield bad
+
+    monkeypatch.setattr(patterns_module, "_pattern_parts", with_a_bad_part)
+    with pytest.raises(ValueError, match=message):
+        enumerate_patterns(2, 2, signed=signed)
+
+    def no_objects(*args, **kwargs):
+        raise AssertionError("a pattern object was made")
+
+    monkeypatch.setattr(patterns_module, "SignedPattern", no_objects)
+    texts = patterns_module.pattern_texts(2, 2, signed=signed)
+    assert bad[0] in texts and len(texts) == pattern_count(2, 2, signed) + 1
+
+
 def test_enumeration_rejects_bad_shapes():
     with pytest.raises(ValueError):
         enumerate_patterns(2, 3)
