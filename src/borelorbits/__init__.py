@@ -44,6 +44,49 @@ _ORIGIN = {
 __all__ = sorted(_ORIGIN)
 
 
+class _Record:
+    """A frozen record: its fields are its ``__slots__``, ``_defaults`` gives the optional ones
+    and ``_compare`` those that equality and hashing read (all when empty).  Unlike a standard
+    data class, it costs a command no imports and no generated code at start-up."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _compare: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = dict(self._defaults, **dict(zip(fields, args)), **kwargs)
+        if len(args) > len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalize the fields, with ``object.__setattr__``; nothing here."""
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._compare or self.__slots__))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
 def _register_lazily(names) -> None:
     """Put each submodule in ``sys.modules`` and the package without running its code."""
     import importlib.util

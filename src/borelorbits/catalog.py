@@ -36,19 +36,16 @@ all coordinates are integers and the divisor computation applies directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from . import EXAMPLE_NAMES
+from . import EXAMPLE_NAMES, _Record
 from .lattice import IntegerMatrix, count_open_real_orbits, elementary_divisors
 from .orbits import EdgeType, Orbit, ReflectionTable, Span, _name_runs, check_orbit_count
 from .rootdata import CartanSpec, SphericalDatum
 
 
-@dataclass(frozen=True)
-class CatalogExample:
-    name: str
-    table: ReflectionTable
-    datum: SphericalDatum | None = None
+class CatalogExample(_Record):
+    __slots__ = ("name", "table", "datum")
+    _defaults = {"datum": None}
 
 
 _ALIASES = {

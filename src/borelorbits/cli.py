@@ -24,7 +24,7 @@ from itertools import islice
 # the modules it uses, and a function replaced on a module is the one called.
 from . import EXAMPLE_NAMES, catalog, lattice, orbits, patterns, rootdata
 
-_LABEL_RE = re.compile(r"^[A-Ga-g][0-9]+$")
+_LABEL_RE = re.compile(r"^[A-Za-z][0-9]+$")
 
 
 def _read_json(path: str):

@@ -26,8 +26,9 @@ elimination without it grows them about fifty-fold on dense input.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from . import _Record
 
 
 MAX_MATRIX_SIDE = 200  # most rows or columns a JSON matrix may have, as rootdata.MAX_RANK
@@ -39,11 +40,10 @@ def _as_int(x, what: str = "matrix entries") -> int:
     return x
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(_Record):
     """Immutable rectangular matrix with exact integer entries."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
     def __post_init__(self) -> None:
         rows = self.entries
@@ -133,14 +133,13 @@ class IntegerMatrix:
         return m
 
 
-@dataclass(frozen=True)
-class DivisorList:
+class DivisorList(_Record):
     """Diagonal of a Smith normal form: nonnegative, each entry divides the next.
 
     Zero entries (rank deficiency) may only appear at the end of the chain.
     """
 
-    m: tuple[int, ...]
+    __slots__ = ("m",)
 
     def __post_init__(self) -> None:
         for x in self.m:
@@ -160,13 +159,10 @@ class DivisorList:
         return self.m[i]
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(_Record):
     """Smith normal form u @ M @ v == diag(d), with u and v unimodular."""
 
-    d: DivisorList
-    u: IntegerMatrix
-    v: IntegerMatrix
+    __slots__ = ("d", "u", "v")
 
     def diagonal_matrix(self) -> IntegerMatrix:
         rows, cols = self.u.rows, self.v.rows

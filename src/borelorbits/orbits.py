@@ -37,12 +37,12 @@ import json
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations, compress, count, islice, repeat
 from json.encoder import encode_basestring
 from operator import ge, gt, itemgetter, ne
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import _Record
 from .rootdata import CartanSpec
 
 
@@ -155,20 +155,15 @@ class Span(NamedTuple):
         return [(members[a], members[b]) for a, b in _SLOTS[self.type][2]]
 
 
-@dataclass(frozen=True)
-class BraidPair:
+class BraidPair(_Record):
     """Verdict for one unordered pair of simple reflections."""
 
-    i: int
-    j: int
-    exponent: int
-    holds: bool
-    witness: str | None = None
+    __slots__ = ("i", "j", "exponent", "holds", "witness")
+    _defaults = {"witness": None}
 
 
-@dataclass(frozen=True)
-class BraidReport:
-    pairs: tuple[BraidPair, ...]
+class BraidReport(_Record):
+    __slots__ = ("pairs",)
 
     @property
     def holds(self) -> bool:
@@ -209,12 +204,10 @@ def _braid_witness(si: list[int], sj: list[int], m: int, support: set[int]) -> i
     return witness
 
 
-@dataclass(frozen=True)
-class TypeCensus:
+class TypeCensus(_Record):
     """Tally of span types per root, with the T2-on-maximal-rank flag."""
 
-    counts: Mapping[int, Mapping[EdgeType, int]]
-    t2_on_max_rank: bool
+    __slots__ = ("counts", "t2_on_max_rank")
 
 
 def _json_int(value, what: str) -> int:

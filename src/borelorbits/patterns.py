@@ -47,10 +47,10 @@ import struct
 import sys
 import weakref
 from array import array
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter
 
+from . import _Record
 from .orbits import EdgeType, ReflectionTable, check_orbit_count
 from .rootdata import CartanSpec, check_rank
 
@@ -89,16 +89,15 @@ def classify_cell(x: str, y: str, px: int, py: int, i: int) -> tuple[EdgeType, b
     return EdgeType.U, (px or i) < (py or i + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class SignedPattern:
+class SignedPattern(_Record):
     """Entries over {0, +, -, dot} plus disjoint arcs between dot positions.
 
     Positions and arcs are 1-based.  The rank of the encoded form is the
     number of active (non-zero) positions.
     """
 
-    entries: tuple[str, ...]
-    arcs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("entries", "arcs")
+    _defaults = {"arcs": ()}
 
     def __post_init__(self) -> None:
         for e in self.entries:
@@ -427,13 +426,10 @@ def build_complex_table(n: int, r: int) -> ReflectionTable:
     return _table(n, r, signed=False)
 
 
-@dataclass(frozen=True)
-class SylvesterClass:
+class SylvesterClass(_Record):
     """One real-group orbit of open patterns, labelled by inertia indices."""
 
-    plus: int
-    minus: int
-    orbits: tuple[str, ...]
+    __slots__ = ("plus", "minus", "orbits")
 
 
 def sylvester_classes(n: int, r: int) -> tuple[SylvesterClass, ...]:

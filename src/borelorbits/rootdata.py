@@ -17,8 +17,7 @@ of the maximal torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from . import _Record
 from .lattice import IntegerMatrix, _as_int
 
 _COXETER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -106,12 +105,12 @@ def _validate_cartan(a: tuple[tuple[int, ...], ...]) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class CartanSpec:
+class CartanSpec(_Record):
     """An integral Cartan matrix, optionally remembering its classical label."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    label: str | None = field(default=None, compare=False)
+    __slots__ = ("matrix", "label")
+    _defaults = {"label": None}
+    _compare = ("matrix",)
 
     def __post_init__(self) -> None:
         check_rank(len(self.matrix))
@@ -201,8 +200,7 @@ class CartanSpec:
         raise ValueError("Cartan JSON needs either 'cartan' or 'type'+'rank'")
 
 
-@dataclass(frozen=True)
-class SphericalDatum:
+class SphericalDatum(_Record):
     """Cartan data plus spherical roots and the weight sublattice.
 
     ``spherical_roots`` are integer vectors in simple-root coordinates and
@@ -211,9 +209,7 @@ class SphericalDatum:
     to a basis of the full character lattice, and must have full row rank.
     """
 
-    cartan: CartanSpec
-    spherical_roots: tuple[tuple[int, ...], ...]
-    weight_sublattice: IntegerMatrix
+    __slots__ = ("cartan", "spherical_roots", "weight_sublattice")
 
     def __post_init__(self) -> None:
         roots = tuple(

@@ -342,6 +342,19 @@ def test_validation_errors_are_machine_readable(capsys):
     assert code == 1  # no table source at all
 
 
+@pytest.mark.parametrize("label, letter", [("Z3", "Z"), ("h4", "H")])
+def test_label_shaped_cartan_with_an_unknown_letter_is_refused_as_a_label(
+    tmp_path, monkeypatch, capsys, label, letter
+):
+    monkeypatch.chdir(tmp_path)  # read as a path, the label would name a missing file
+    code, out, err = run_cli(capsys, "example", "torus", "--cartan", label)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "ValueError",
+        "message": f"unsupported root-system type '{letter}' (expected A, B, C, D or G)",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

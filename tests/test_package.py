@@ -49,6 +49,37 @@ def test_lattice_commands_run_only_lattice(tmp_path):
         assert json.loads(last) == {"code": 0, "executed": ["lattice"]}
 
 
+# The modules loaded once a CLI command has run, as the last line of output.
+_LOADED = """
+import json, sys
+from borelorbits.cli import main
+main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-open", "--divisors", "1"),
+        ("divisors", "--matrix", "{matrix}"),
+        ("snf", "--matrix", "{matrix}"),
+        ("braid-check", "--example", "g2"),
+        ("sylvester", "--n", "3", "--r", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_import_neither_dataclasses_nor_inspect(tmp_path, argv):
+    """The records need no ``dataclasses``, which brings ``inspect``, ``ast`` and ``dis``."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"entries": [[2, 0], [0, 3]]}))
+    argv = [arg.format(matrix=path) for arg in argv]
+    bare = set(_fresh_child("import sys; print(' '.join(sys.modules))").split())
+    added = set(json.loads(_fresh_child(_LOADED, *argv).splitlines()[-1])) - bare
+    assert "borelorbits.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_importing_the_cli_registers_every_submodule():
     code = "import sys, borelorbits.cli; print(' '.join(sorted(sys.modules)))"
     loaded = set(_fresh_child(code).split())
