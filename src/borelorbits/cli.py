@@ -96,7 +96,7 @@ def _refuse_unused(args, source: str, takes: tuple[str, ...]) -> None:
         raise ValueError(f"{source} does not take {', '.join(unused)}")
 
 
-def _load_table(args) -> orbits.ReflectionTable:
+def _load_table(args, opens_only: bool):
     if args.table and args.example:
         raise ValueError("provide a table via --table FILE or --example NAME, not both")
     if args.table:
@@ -108,7 +108,7 @@ def _load_table(args) -> orbits.ReflectionTable:
             _refuse_unused(args, "example 'quadratic'", ("n", "r"))
             if args.n is None or args.r is None:
                 raise ValueError("example 'quadratic' needs --n and --r")
-            return patterns.build_table(args.n, args.r)
+            return (patterns.OpenPatterns if opens_only else patterns.build_table)(args.n, args.r)
         name = catalog.canonical_example_name(name)
         _refuse_unused(args, f"example {name!r}", ("n", "cartan"))
         cartan = _parse_cartan(args.cartan) if args.cartan else None
@@ -184,7 +184,7 @@ def _cmd_sylvester(args) -> int:
 
 
 def _cmd_braid_check(args) -> int:
-    table = _load_table(args)
+    table = _load_table(args, args.open_only)
     restrict = table.open_orbit_names if args.open_only else None
     generators = None if args.generators is None else _parse_int_list(args.generators)
     report = table.check_braid(restrict_to=restrict, generators=generators)
@@ -201,7 +201,7 @@ def _cmd_braid_check(args) -> int:
 def _cmd_orbits(args) -> int:
     if args.domain is not None and args.generators is None:
         raise ValueError("--domain needs --generators")
-    table = _load_table(args)
+    table = _load_table(args, args.generators is None or args.domain == "open")
     if args.generators is not None:
         domain = table.open_orbit_names if args.domain == "open" else None
         classes = table.subgroup_orbits(_parse_int_list(args.generators), domain)

@@ -59,14 +59,6 @@ class EdgeType(enum.Enum):
     T = "T"
     N = "N"
 
-    @property
-    def open_slots(self) -> int:
-        return _SLOTS[self][0]
-
-    @property
-    def lower_slots(self) -> int:
-        return _SLOTS[self][1]
-
     # Members are singletons, so identity hashing agrees with equality and
     # keeps dict lookups by type in C.
     __hash__ = object.__hash__
@@ -204,6 +196,66 @@ def _braid_witness(si: list[int], sj: list[int], m: int, support: set[int]) -> i
     return witness
 
 
+# Routines over orbit names, a domain mask and reflections; tables and open patterns share them.
+def generator_perms(reflections: dict, generators: Iterable[int] | None, rank: int):
+    """The sorted distinct generators (None: every root) and their reflections."""
+    gens = sorted(reflections if generators is None else set(generators))
+    for g in gens:
+        if g not in reflections:
+            raise ValueError(f"root index {g} out of range 1..{rank}")
+    return gens, [reflections[g] for g in gens]
+
+
+def check_invariant(names, domain: bytes, gens: Sequence[int], perms) -> None:
+    """Refuse ``domain`` if a generator carries one of its points out; the least is named."""
+    for g, perm in zip(gens, perms):
+        for k in compress(range(len(domain)), domain):
+            if not domain[perm[k]]:
+                raise ValueError(
+                    f"restriction is not invariant: s_{g} moves {names[k]!r} to "
+                    f"{names[perm[k]]!r} outside the subset"
+                )
+
+
+def braid_report(names, domain: bytes, cartan: CartanSpec, gens: Sequence[int], perms):
+    """The verdict of every generator pair on the invariant ``domain``; see ``check_braid``."""
+    # The moved points of each reflection in the domain, listed as their images: an
+    # involution maps them onto themselves, and the images are ints it already holds.
+    points, images = [*compress(count(), domain)], ([*compress(p, domain)] for p in perms)
+    moved = [[*compress(row, map(ne, row, points))] for row in images]
+    results = []
+    for (i, si, mi), (j, sj, mj) in combinations(zip(gens, perms, moved), 2):
+        m = cartan.coxeter_exponent(i, j)
+        witness = _braid_witness(si, sj, m, {*mi, *mj})
+        name = None if witness is None else names[witness]
+        results.append(BraidPair(i, j, m, holds=name is None, witness=name))
+    return BraidReport(pairs=tuple(results))
+
+
+def orbit_classes(names, domain: bytes, perms) -> tuple[tuple[str, ...], ...]:
+    """Sorted components of the orbits marked in the mask ``domain``, under moves inside it.
+
+    Start points are taken in index order, each unless an earlier component
+    holds it, so each component starts at its least point and the components
+    come out sorted.
+    """
+    seen, classes = bytearray(len(domain)), []
+    for start in compress(range(len(domain)), domain):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        block = [start]
+        for current in block:
+            for perm in perms:
+                image = perm[current]
+                if domain[image] and not seen[image]:
+                    seen[image] = 1
+                    block.append(image)
+        block.sort()
+        classes.append(tuple(map(names.__getitem__, block)))
+    return tuple(classes)
+
+
 class TypeCensus(_Record):
     """Tally of span types per root, with the T2-on-maximal-rank flag."""
 
@@ -242,9 +294,10 @@ def _root_columns(runs, identity: list[int], is_open: bytes, dims):
         width = opens + lowers
         if (opens, lowers) != _SLOTS[edge][:2] or len(members) % width:
             return None
-        if members and (min(members) < 0 or max(members) >= len(identity)):
+        try:  # a member out of range fails as an unsigned int or as an index
+            read = [*map(identity.__getitem__, array("I", members))]
+        except (OverflowError, IndexError):
             return None
-        read = [*map(identity.__getitem__, members)]
         columns = [read[slot::width] for slot in range(width)]
         for first, size in ((0, opens), (opens, lowers)):
             if size == 2:
@@ -450,12 +503,6 @@ class ReflectionTable:
     def _span_objects(self, root: int, heads: Iterable[int]) -> tuple[Span, ...]:
         return tuple(Span(root, e, tuple(o), tuple(w)) for e, o, w in self._spans_at(root, heads))
 
-    def _reflection(self, root: int) -> list[int]:
-        try:
-            return self._reflections[root]
-        except KeyError:
-            raise ValueError(f"root index {root} out of range 1..{self.cartan.rank}") from None
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -496,8 +543,8 @@ class ReflectionTable:
 
     def reflection_permutation(self, root: int) -> dict[str, str]:
         """The involution induced by s_root on the full orbit set."""
-        names = self._names
-        return dict(zip(names, [names[k] for k in self._reflection(root)]))
+        (perm,) = generator_perms(self._reflections, (root,), self.cartan.rank)[1]
+        return dict(zip(self._names, map(self._names.__getitem__, perm)))
 
     # -- braid relations ---------------------------------------------------
 
@@ -518,29 +565,14 @@ class ReflectionTable:
         failure the witness is the lexicographically least orbit on such a
         cycle, i.e. the least orbit moved by (s_i s_j)^{m_ij}.
         """
-        gens = sorted(set(generators)) if generators is not None else sorted(self._reflections)
-        perms = [self._reflection(g) for g in gens]
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
         domain = self._resolve_domain(restrict_to, gens, perms)
-        # The moved points of each reflection in the domain, listed as their images: an
-        # involution maps them onto themselves, and the images are ints it already holds.
-        points, images = [*compress(count(), domain)], ([*compress(p, domain)] for p in perms)
-        moved = [[*compress(row, map(ne, row, points))] for row in images]
-        results = []
-        for (i, si, mi), (j, sj, mj) in combinations(zip(gens, perms, moved), 2):
-            m = self.cartan.coxeter_exponent(i, j)
-            witness = _braid_witness(si, sj, m, {*mi, *mj})
-            name = None if witness is None else self._names[witness]
-            results.append(BraidPair(i, j, m, holds=name is None, witness=name))
-        return BraidReport(pairs=tuple(results))
+        return braid_report(self._names, domain, self.cartan, gens, perms)
 
-    def _resolve_domain(
-        self, restrict_to: Iterable[str] | None, gens: Sequence[int], perms: Sequence[list[int]]
-    ) -> bytearray:
+    def _resolve_domain(self, restrict_to, gens: Sequence[int], perms) -> bytearray:
         """The validated restriction as a membership mask, one byte per orbit; None means all.
 
-        A subset is invariant when no generator carries one of its points
-        outside it; the whole orbit set always is.  Points are scanned in
-        index order, so the first that escapes is the least.
+        A subset must be invariant under the generators; the whole orbit set always is.
         """
         count = len(self._names)
         if restrict_to is None:
@@ -553,15 +585,8 @@ class ReflectionTable:
                 domain[k] = 1
         if unknown:
             raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
-        if domain.count(1) == count:
-            return domain
-        for g, perm in zip(gens, perms):
-            for k in compress(range(count), domain):
-                if not domain[perm[k]]:
-                    raise ValueError(
-                        f"restriction is not invariant: s_{g} moves {self._names[k]!r} to "
-                        f"{self._names[perm[k]]!r} outside the subset"
-                    )
+        if domain.count(1) < count:
+            check_invariant(self._names, domain, gens, perms)
         return domain
 
     # -- orbit enumeration ---------------------------------------------------
@@ -575,9 +600,8 @@ class ReflectionTable:
         computed by breadth-first closure; the result does not depend on the
         order of the input.
         """
-        gens = sorted(set(generators))
-        perms = [self._reflection(g) for g in gens]
-        return self._classes(self._resolve_domain(domain, gens, perms), perms)
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
+        return orbit_classes(self._names, self._resolve_domain(domain, gens, perms), perms)
 
     def real_group_orbit_classes(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the open orbits into real-group orbits.
@@ -600,31 +624,7 @@ class ReflectionTable:
                     )
         # A U-span carries an open orbit to a lower one, so the moves that
         # stay among the open orbits are exactly those swaps.
-        return self._classes(opens, list(self._reflections.values()))
-
-    def _classes(self, domain: bytes, perms: list[list[int]]) -> tuple[tuple[str, ...], ...]:
-        """Sorted components of the orbits marked in the mask ``domain``, under moves inside it.
-
-        Start points are taken in index order, each unless an earlier
-        component holds it, so each component starts at its least point and
-        the components come out sorted.
-        """
-        names, seen = self._names, bytearray(len(domain))
-        classes = []
-        for start in compress(range(len(domain)), domain):
-            if seen[start]:
-                continue
-            seen[start] = 1
-            block = [start]
-            for current in block:
-                for perm in perms:
-                    image = perm[current]
-                    if domain[image] and not seen[image]:
-                        seen[image] = 1
-                        block.append(image)
-            block.sort()
-            classes.append(tuple(map(names.__getitem__, block)))
-        return tuple(classes)
+        return orbit_classes(self._names, opens, list(self._reflections.values()))
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -29,6 +29,14 @@ complex table takes its type through :attr:`EdgeType.complex_type`.  The
 tables are built in index form: each pattern is a fixed-width byte record,
 and a root's transposition acts on all records at once (see ``_build``).
 
+The open patterns are the 2^r arc-free ones with signs on the first r
+positions.  The commands that ask only about them read :class:`OpenPatterns`,
+the 2^r open texts and each root's image of each, and build no table:
+``sylvester``, ``braid-check --example quadratic --open-only``, and ``orbits
+--example quadratic`` without ``--generators`` or with ``--domain open``.
+``braid-check`` and ``orbits`` on all orbits build the full table, and
+``patterns`` prints the enumeration.
+
 Which member of a U-pair is open is decided by the ranks of the upper-left
 corner submatrices of the form (:meth:`SignedPattern.corner_rank`), the
 invariant separating orbits: the open orbit's corner ranks are at least its
@@ -51,7 +59,15 @@ from itertools import chain, compress
 from operator import itemgetter
 
 from . import _Record
-from .orbits import EdgeType, ReflectionTable, check_orbit_count
+from .orbits import (
+    EdgeType,
+    ReflectionTable,
+    braid_report,
+    check_invariant,
+    check_orbit_count,
+    generator_perms,
+    orbit_classes,
+)
 from .rootdata import CartanSpec, check_rank
 
 ZERO = "0"
@@ -390,11 +406,12 @@ def _root_runs(blob: bytearray, index, n: int, i: int) -> list:
         if 1 not in chosen:
             continue
         slots = [compress(cells, chosen)] + [compress(image, chosen)] * transposed
-        if merged:
+        if merged:  # every record is rewritten in C, but only the heads' are looked up
             arc, dot = bytearray(blob), _ENTRY_BYTE[DOT]
             for column, byte in ((i - 1, dot), (i, dot), (n + i - 1, i + 1), (n + i, i)):
                 arc[column::width] = bytes((byte,)) * len(cells)
-            slots.append(map(index, map(first, compress(unpack(arc), chosen))))
+            starts = compress(range(0, len(arc), width), chosen)
+            slots.append([index(bytes(arc[start : start + width])) for start in starts])
         runs.append((edge, opens, len(slots) - opens, array("I", chain.from_iterable(zip(*slots)))))
     return runs
 
@@ -432,11 +449,68 @@ class SylvesterClass(_Record):
     __slots__ = ("plus", "minus", "orbits")
 
 
+class OpenPatterns:
+    """The 2^r open patterns of one shape and each root's moves on them, without the full table.
+
+    Answers as :func:`build_table`'s table does on its open patterns, refusals
+    included: ``check_braid`` and ``subgroup_orbits`` on the domain of all the
+    open patterns (given as None or as their names), and
+    ``real_group_orbit_classes``.  Pattern k < 2^r is the k-th open pattern in
+    name order.  At root i its cell type (:func:`classify_cell`) gives its
+    image: N2 the other open pattern, N0 and P itself, U a lower pattern,
+    listed after the open ones only so that a refusal can name it.
+    """
+
+    def __init__(self, n: int, r: int) -> None:
+        _refuse_oversized(n, r, signed=True)
+        # Signs on the first r positions, in name order ("+" < "-"), zeros after.
+        opens = ["".join(signs) + ZERO * (n - r) for signs in itertools.product(_SIGNS, repeat=r)]
+        index, names, self._reflections = {text: k for k, text in enumerate(opens)}, opens[:], {}
+        for i in range(1, n):
+            perm = self._reflections[i] = []
+            for k, text in enumerate(opens):
+                edge = classify_cell(text[i - 1], text[i], 0, 0, i)[0]
+                if edge is EdgeType.N0 or edge is EdgeType.P:
+                    perm.append(k)
+                    continue
+                image = text[: i - 1] + text[i] + text[i - 1] + text[i + 1 :]
+                if edge is EdgeType.U:  # a lower pattern, named only by a refusal
+                    perm.append(len(names))
+                    names.append(image)
+                else:  # N2: the other open pattern
+                    perm.append(index[image])
+        self.cartan = CartanSpec.from_type("A", n - 1)
+        self.open_orbit_names, self._names = tuple(opens), tuple(names)
+        self._open = bytes([1]) * len(opens) + bytes(len(names) - len(opens))
+
+    def _domain(self, names, gens, perms) -> bytes:
+        """The open patterns' mask; refused if ``names`` is another set or a generator leaves it."""
+        if names is not None and set(names) != set(self.open_orbit_names):
+            raise ValueError("open patterns answer only on the domain of all open patterns")
+        check_invariant(self._names, self._open, gens, perms)
+        return self._open
+
+    def check_braid(self, restrict_to=None, generators=None):
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
+        domain = self._domain(restrict_to, gens, perms)
+        return braid_report(self._names, domain, self.cartan, gens, perms)
+
+    def subgroup_orbits(self, generators, domain=None) -> tuple[tuple[str, ...], ...]:
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
+        return orbit_classes(self._names, self._domain(domain, gens, perms), perms)
+
+    def real_group_orbit_classes(self) -> tuple[tuple[str, ...], ...]:
+        return orbit_classes(self._names, self._open, list(self._reflections.values()))
+
+
 def sylvester_classes(n: int, r: int) -> tuple[SylvesterClass, ...]:
-    """Real-group orbits of the open patterns: r+1 classes labelled (plus, minus)."""
-    table = build_table(n, r)
+    """Real-group orbits of the open patterns: r+1 classes labelled (plus, minus).
+
+    Read from the 2^r open patterns alone (:class:`OpenPatterns`); the full
+    table of the shape is not built.
+    """
     classes = []
-    for block in table.real_group_orbit_classes():
+    for block in OpenPatterns(n, r).real_group_orbit_classes():
         rep = block[0]
         classes.append(
             SylvesterClass(plus=rep.count(PLUS), minus=rep.count(MINUS), orbits=block)

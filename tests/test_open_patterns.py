@@ -1,0 +1,180 @@
+"""The open-pattern commands against the full pattern table.
+
+``sylvester``, ``braid-check --example quadratic --open-only`` and ``orbits
+--example quadratic`` (without ``--generators``, or with ``--domain open``)
+read only the 2^r open patterns of their shape
+(:class:`borelorbits.patterns.OpenPatterns`).  Their stdout, stderr and exit
+status must be those of the same command on the full table, read back here
+through ``--table`` from the JSON that :func:`build_table` emits.
+"""
+
+import functools
+import json
+import weakref
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from borelorbits import cli, orbits, patterns, rootdata
+from borelorbits.patterns import OpenPatterns, build_table, sylvester_classes
+
+SHAPES = [(n, r) for n in range(1, 9) for r in range(n + 1)]
+
+
+def run_cli(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def generator_lists(n: int, r: int) -> list[str]:
+    """A few ``--generators`` values: all roots, small sets, sets around root r, and
+    sets with a root out of range (below 1, or n past the last root n - 1)."""
+    picks = [range(1, n), [1], [1, 2], [r - 1, r + 1], [r], [n - 1, n], [0, 2]]
+    return sorted({",".join(map(str, pick)) for pick in picks if pick})
+
+
+def open_commands(n: int, r: int):
+    """The open-domain commands of a shape, without their table source."""
+    yield "braid-check", "--open-only"
+    yield "braid-check", "--open-only", "--strict", "--format", "json"
+    yield ("orbits",)
+    yield "orbits", "--format", "json"
+    for generators in generator_lists(n, r):
+        yield "braid-check", "--open-only", f"--generators={generators}", "--strict"
+        yield "orbits", f"--generators={generators}", "--domain", "open", "--format", "json"
+
+
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    """The full table JSON of every shape, one file each."""
+    folder = tmp_path_factory.mktemp("tables")
+    files = {}
+    for n, r in SHAPES:
+        files[n, r] = folder / f"signed-{n}-{r}.json"
+        files[n, r].write_text("".join(build_table(n, r).iter_json()), encoding="utf-8")
+    return files
+
+
+@pytest.fixture
+def read_once(monkeypatch):
+    """Each ``--table`` file is read and validated once; later commands reuse that table.
+
+    A shape has up to 18 commands, and reading all 44 files once takes about 1.2 s.
+    """
+    read_json = functools.lru_cache(maxsize=None)(cli._read_json)
+    from_json = orbits.ReflectionTable.from_json
+    tables = {}
+
+    def load(cls, obj):
+        if id(obj) not in tables:
+            tables[id(obj)] = from_json(obj)
+        return tables[id(obj)]
+
+    monkeypatch.setattr(cli, "_read_json", read_json)
+    monkeypatch.setattr(orbits.ReflectionTable, "from_json", classmethod(load))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_open_commands_match_the_full_table(n, table_files, read_once, capsys):
+    for r in range(n + 1):
+        example = ("--example", "quadratic", "--n", str(n), "--r", str(r))
+        table = ("--table", str(table_files[n, r]))
+        for command in open_commands(n, r):
+            argv = (*command[:1], *example, *command[1:])
+            expected = run_cli(capsys, (*command[:1], *table, *command[1:]))
+            assert run_cli(capsys, argv) == expected, " ".join(argv)
+
+
+def test_the_compared_commands_include_each_refusal(capsys):
+    # Answers, roots out of range and open patterns that a generator carries out.
+    seen = set()
+    for command in open_commands(4, 2):
+        argv = (*command[:1], "--example", "quadratic", "--n", "4", "--r", "2", *command[1:])
+        code, _, err = run_cli(capsys, argv)
+        seen.add("answer" if code == 0 else json.loads(err)["error"]["message"].split()[0])
+    assert seen == {"answer", "root", "restriction"}
+
+
+def example_argvs(n: int, r: int):
+    """``sylvester`` and the open-domain commands of shape (3, 2), on the shape (n, r)."""
+    yield "sylvester", "--n", str(n), "--r", str(r)
+    for command in open_commands(3, 2):
+        yield (*command[:1], "--example", "quadratic", "--n", str(n), "--r", str(r), *command[1:])
+
+
+@pytest.mark.parametrize("n, r", [(0, 0), (3, 4), (3, -1), (-2, 0)])
+def test_open_commands_refuse_a_bad_shape_as_the_table_build_does(n, r, capsys):
+    with pytest.raises(ValueError) as refusal:
+        build_table(n, r)
+    expected = {"error": {"type": "ValueError", "message": str(refusal.value)}}
+    for argv in example_argvs(n, r):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, json.loads(err)) == (1, "", expected), " ".join(argv)
+
+
+@pytest.mark.parametrize(
+    "module, limit, value, message",
+    [
+        (rootdata, "MAX_RANK", 2, "Cartan rank 3 is over the rank limit 2"),
+        (orbits, "MAX_ORBITS", 20, "patterns n=4 r=4: 43 orbits is over the orbit limit 20"),
+    ],
+    ids=["rank", "orbits"],
+)
+def test_open_commands_keep_the_full_tables_guards(module, limit, value, message, capsys, monkeypatch):
+    # n = r = 4 has 16 open patterns but 43 in its table: the guard counts the table.
+    monkeypatch.setattr(module, limit, value)
+    for argv in example_argvs(4, 4):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, json.loads(err)["error"]["message"]) == (1, "", message)
+
+
+def _outcome(call):
+    try:
+        return "answer", call()
+    except ValueError as exc:
+        return "refusal", str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_open_patterns_answer_as_the_table_does(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    r = data.draw(st.integers(0, n), label="r")
+    gens = data.draw(st.none() | st.lists(st.integers(0, n), max_size=4), label="generators")
+    opens, table = OpenPatterns(n, r), build_table(n, r)
+    assert opens.open_orbit_names == table.open_orbit_names
+    domain = table.open_orbit_names
+    for name, args in (("check_braid", (domain, gens)), ("subgroup_orbits", (gens or [1], domain))):
+        expected = _outcome(lambda: getattr(table, name)(*args))
+        assert _outcome(lambda: getattr(opens, name)(*args)) == expected
+    assert opens.real_group_orbit_classes() == table.real_group_orbit_classes()
+
+
+def test_open_patterns_refuse_a_domain_other_than_all_open_patterns():
+    opens = OpenPatterns(3, 3)
+    with pytest.raises(ValueError, match="all open patterns"):
+        opens.check_braid(restrict_to=opens.open_orbit_names[:2])
+    assert opens.check_braid() == opens.check_braid(restrict_to=opens.open_orbit_names)
+
+
+def test_open_commands_build_no_pattern_table(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("the pattern table was built")
+
+    monkeypatch.setattr(patterns, "_build", build)
+    monkeypatch.setattr(patterns, "_TABLES", weakref.WeakValueDictionary())
+    classes = sylvester_classes(9, 9)
+    assert [(c.plus, c.minus) for c in classes] == [(9 - k, k) for k in range(10)]
+    example = ("--example", "quadratic", "--n", "9", "--r", "9")
+    for argv in [
+        ("sylvester", "--n", "9", "--r", "9", "--format", "json"),
+        ("braid-check", *example, "--open-only", "--strict"),
+        ("orbits", *example),
+        ("orbits", *example, "--generators", "1,3,5", "--domain", "open"),
+    ]:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "") and out, " ".join(argv)
+    with pytest.raises(AssertionError, match="the pattern table was built"):
+        cli.main(["orbits", *example, "--generators", "1,3,5"])

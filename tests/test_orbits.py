@@ -443,6 +443,15 @@ def test_dot_marks_open_orbits():
 # -- differential check of the braid verdicts against a brute-force oracle ----
 
 _RANDOM_EDGES = (EdgeType.P, EdgeType.U, EdgeType.T1, EdgeType.T2, EdgeType.N1, EdgeType.N2)
+# Open and lower slots of each type drawn, as in the table in the orbits module docstring.
+_SLOT_COUNTS = {
+    EdgeType.P: (1, 0),
+    EdgeType.U: (1, 1),
+    EdgeType.T1: (1, 2),
+    EdgeType.T2: (2, 2),
+    EdgeType.N1: (1, 1),
+    EdgeType.N2: (2, 1),
+}
 _RANDOM_CARTANS = ("A1", "A2", "A3", "A4", "B2", "B3", "D3", "D4", "G2")
 
 
@@ -460,9 +469,10 @@ def random_tables(draw, alphabet="ab+-"):
         rest = draw(st.permutations(names))
         while rest:
             edge = draw(st.sampled_from(_RANDOM_EDGES))
-            lowers = [name for name in rest if name not in open_names][: edge.lower_slots]
-            opens = [name for name in rest if name not in lowers][: edge.open_slots]
-            if len(lowers) < edge.lower_slots or len(opens) < edge.open_slots:
+            open_slots, lower_slots = _SLOT_COUNTS[edge]
+            lowers = [name for name in rest if name not in open_names][:lower_slots]
+            opens = [name for name in rest if name not in lowers][:open_slots]
+            if len(lowers) < lower_slots or len(opens) < open_slots:
                 edge, opens, lowers = EdgeType.P, rest[:1], []
             spans.append(Span(root, edge, tuple(opens), tuple(lowers)))
             rest = [name for name in rest if name not in opens and name not in lowers]
