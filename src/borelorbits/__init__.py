@@ -87,6 +87,13 @@ class _Record:
         return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
 
+def _as_int(x, what: str = "matrix entries") -> int:
+    """``x`` if it is an exact integer (bools excluded), else a ValueError naming ``what``."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be exact integers, got {x!r}")
+    return x
+
+
 def _register_lazily(names) -> None:
     """Put each submodule in ``sys.modules`` and the package without running its code."""
     import importlib.util

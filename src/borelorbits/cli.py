@@ -97,6 +97,8 @@ def _refuse_unused(args, source: str, takes: tuple[str, ...]) -> None:
 
 
 def _load_table(args, opens_only: bool):
+    """The table a command reads.  The quadratic example builds none: the commands
+    get the moves of its open patterns when ``opens_only``, else of all its patterns."""
     if args.table and args.example:
         raise ValueError("provide a table via --table FILE or --example NAME, not both")
     if args.table:
@@ -108,7 +110,7 @@ def _load_table(args, opens_only: bool):
             _refuse_unused(args, "example 'quadratic'", ("n", "r"))
             if args.n is None or args.r is None:
                 raise ValueError("example 'quadratic' needs --n and --r")
-            return (patterns.OpenPatterns if opens_only else patterns.build_table)(args.n, args.r)
+            return (patterns.OpenPatterns if opens_only else patterns.PatternMoves)(args.n, args.r)
         name = catalog.canonical_example_name(name)
         _refuse_unused(args, f"example {name!r}", ("n", "cartan"))
         cartan = _parse_cartan(args.cartan) if args.cartan else None

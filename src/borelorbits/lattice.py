@@ -28,16 +28,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from . import _Record
+from . import _Record, _as_int
 
 
 MAX_MATRIX_SIDE = 200  # most rows or columns a JSON matrix may have, as rootdata.MAX_RANK
-
-
-def _as_int(x, what: str = "matrix entries") -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be exact integers, got {x!r}")
-    return x
 
 
 class IntegerMatrix(_Record):

@@ -196,7 +196,7 @@ def _braid_witness(si: list[int], sj: list[int], m: int, support: set[int]) -> i
     return witness
 
 
-# Routines over orbit names, a domain mask and reflections; tables and open patterns share them.
+# Routines over orbit names, a domain mask and reflections; tables and pattern moves share them.
 def generator_perms(reflections: dict, generators: Iterable[int] | None, rank: int):
     """The sorted distinct generators (None: every root) and their reflections."""
     gens = sorted(reflections if generators is None else set(generators))
@@ -215,6 +215,36 @@ def check_invariant(names, domain: bytes, gens: Sequence[int], perms) -> None:
                     f"restriction is not invariant: s_{g} moves {names[k]!r} to "
                     f"{names[perm[k]]!r} outside the subset"
                 )
+
+
+def position(names: Sequence[str], name) -> int:
+    """The index of ``name`` in the sorted ``names``, by bisection; -1 if it is not there."""
+    try:
+        k = bisect_left(names, name)
+    except TypeError:  # not comparable with the names, so not one of them
+        return -1
+    return k if k < len(names) and names[k] == name else -1
+
+
+def resolve_domain(names: Sequence[str], restrict_to, gens: Sequence[int], perms) -> bytearray:
+    """The validated restriction to the sorted ``names`` as a membership mask; None means all.
+
+    A subset must be invariant under the generators; the whole orbit set always is.
+    """
+    count = len(names)
+    if restrict_to is None:
+        return bytearray(b"\x01") * count
+    domain, unknown = bytearray(count), []
+    for name in restrict_to:
+        if (k := position(names, name)) < 0:
+            unknown.append(name)
+        else:
+            domain[k] = 1
+    if unknown:
+        raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
+    if domain.count(1) < count:
+        check_invariant(names, domain, gens, perms)
+    return domain
 
 
 def braid_report(names, domain: bytes, cartan: CartanSpec, gens: Sequence[int], perms):
@@ -519,22 +549,14 @@ class ReflectionTable:
     def open_orbit_names(self) -> tuple[str, ...]:
         return tuple(compress(self._names, self._open))
 
-    def _position(self, name: str) -> int:
-        """The index of orbit ``name``, by bisection (index order is name order); -1 if none."""
-        try:
-            k = bisect_left(self._names, name)
-        except TypeError:  # not comparable with the names, so not one of them
-            return -1
-        return k if k < len(self._names) and self._names[k] == name else -1
-
     def orbit(self, name: str) -> Orbit:
-        if (k := self._position(name)) < 0:
+        if (k := position(self._names, name)) < 0:
             raise KeyError(name)
         dim = self._dims[k] if self._dims else None
         return Orbit(self._names[k], bool(self._open[k]), bool(self._max_rank[k]), dim)
 
     def span_of(self, name: str, root: int) -> Span:
-        if (k := self._position(name)) < 0 or root not in self._kinds:
+        if (k := position(self._names, name)) < 0 or root not in self._kinds:
             raise ValueError(f"no span for orbit {name!r} at root {root}")
         kind, link = self._kinds[root], self._links[root]
         while kind[k] & 3:  # on to slot 0, the first open orbit
@@ -566,28 +588,8 @@ class ReflectionTable:
         cycle, i.e. the least orbit moved by (s_i s_j)^{m_ij}.
         """
         gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        domain = self._resolve_domain(restrict_to, gens, perms)
+        domain = resolve_domain(self._names, restrict_to, gens, perms)
         return braid_report(self._names, domain, self.cartan, gens, perms)
-
-    def _resolve_domain(self, restrict_to, gens: Sequence[int], perms) -> bytearray:
-        """The validated restriction as a membership mask, one byte per orbit; None means all.
-
-        A subset must be invariant under the generators; the whole orbit set always is.
-        """
-        count = len(self._names)
-        if restrict_to is None:
-            return bytearray(b"\x01") * count
-        domain, unknown = bytearray(count), []
-        for name in restrict_to:
-            if (k := self._position(name)) < 0:
-                unknown.append(name)
-            else:
-                domain[k] = 1
-        if unknown:
-            raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
-        if domain.count(1) < count:
-            check_invariant(self._names, domain, gens, perms)
-        return domain
 
     # -- orbit enumeration ---------------------------------------------------
 
@@ -601,7 +603,7 @@ class ReflectionTable:
         order of the input.
         """
         gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        return orbit_classes(self._names, self._resolve_domain(domain, gens, perms), perms)
+        return orbit_classes(self._names, resolve_domain(self._names, domain, gens, perms), perms)
 
     def real_group_orbit_classes(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the open orbits into real-group orbits.

@@ -27,15 +27,17 @@ tables and for :meth:`SignedPattern.classify_edge` alike:
 The classifier answers in the signed column: a bare-dot pair is N2, and the
 complex table takes its type through :attr:`EdgeType.complex_type`.  The
 tables are built in index form: each pattern is a fixed-width byte record,
-and a root's transposition acts on all records at once (see ``_build``).
+and a root's transposition acts on all records at once (see ``_records``
+and ``_images``).
 
-The open patterns are the 2^r arc-free ones with signs on the first r
-positions.  The commands that ask only about them read :class:`OpenPatterns`,
-the 2^r open texts and each root's image of each, and build no table:
-``sylvester``, ``braid-check --example quadratic --open-only``, and ``orbits
---example quadratic`` without ``--generators`` or with ``--domain open``.
-``braid-check`` and ``orbits`` on all orbits build the full table, and
-``patterns`` prints the enumeration.
+No command builds a table.  The open patterns are the 2^r arc-free ones
+with signs on the first r positions.  The commands that ask only about them
+read :class:`OpenPatterns`, the 2^r open texts and each root's image of
+each: ``sylvester``, ``braid-check --example quadratic --open-only``, and
+``orbits --example quadratic`` without ``--generators`` or with ``--domain
+open``.  ``braid-check`` and ``orbits --generators`` on all orbits read
+:class:`PatternMoves`, each root's transposition of every pattern's record,
+which is the table's reflection there.  ``patterns`` prints the enumeration.
 
 Which member of a U-pair is open is decided by the ranks of the upper-left
 corner submatrices of the form (:meth:`SignedPattern.corner_rank`), the
@@ -55,7 +57,7 @@ import struct
 import sys
 import weakref
 from array import array
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import itemgetter
 
 from . import _Record
@@ -67,6 +69,7 @@ from .orbits import (
     check_orbit_count,
     generator_perms,
     orbit_classes,
+    resolve_domain,
 )
 from .rootdata import CartanSpec, check_rank
 
@@ -319,12 +322,16 @@ def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPatter
     return [SignedPattern.from_text(text) for text in pattern_texts(n, r, signed)]
 
 
-# A pattern's record: one byte per entry (Latin-1 with "?" for the dot, then
-# translated), then per position its arc partner (0 for none).  Partners are
-# at most MAX_RANK + 1, so no entry byte is a position a transposition relabels.
-_ENTRY_BYTE = {ZERO: 0, PLUS: 253, MINUS: 254, DOT: 255}
-_ENCODE = bytes.maketrans(b"0+-?", bytes(_ENTRY_BYTE.values()))
+# A pattern's record: one byte per position, the arc partner of an arc end,
+# else the entry's code (Latin-1 with "?" for the dot, then translated).  A
+# dot's code is 0, so the record is its entries' codes ORed with its partners,
+# and a bare dot reads as a dot without a partner.  Partners are at most
+# MAX_RANK + 1, so no entry code is a position a transposition relabels.
+_ENTRY_BYTE = {DOT: 0, ZERO: 252, PLUS: 253, MINUS: 254}
+_ENCODE = bytes.maketrans(b"?0+-", bytes(_ENTRY_BYTE.values()))
 _ENTRY_OF_BYTE = {code: entry for entry, code in _ENTRY_BYTE.items()}
+# The (entry, partner) each record byte stands for.
+_CELL_OF_BYTE = [(_ENTRY_OF_BYTE.get(b, DOT), 0 if b in _ENTRY_OF_BYTE else b) for b in range(256)]
 
 # The runs a cell can head: (type, open slots, whether its record transposed
 # and its record merged into the arc (i, i+1) give its other members).
@@ -339,34 +346,68 @@ _RUN_OF = {edge: code for code, (edge, *_) in enumerate(_RUNS, start=1)}
 _HEADS = [bytes(code == run for code in range(256)) for run in _RUN_OF.values()]
 
 
-def _head_of(x: int, y: int, px: int, py: int, i: int) -> int:
-    """1 + the index in _RUNS of the run a cell heads; 0 if another member emits its span."""
-    entry = _ENTRY_OF_BYTE[x]
-    edge, open_here = classify_cell(entry, _ENTRY_OF_BYTE[y], px, py, i)
+def _head_of(x: int, y: int, i: int) -> int:
+    """1 + the index in _RUNS of the run a cell heads; 0 if another member emits its span.
+
+    ``x`` and ``y`` are the record's bytes at positions i and i+1.
+    """
+    (entry, px), (other, py) = _CELL_OF_BYTE[x], _CELL_OF_BYTE[y]
+    edge, open_here = classify_cell(entry, other, px, py, i)
     if not open_here or (edge is EdgeType.N2 and entry == MINUS):
         return 0
     return _RUN_OF[edge.complex_type if entry == DOT else edge]
 
 
-def _build(n: int, r: int, patterns) -> ReflectionTable:
-    """The table of ``patterns`` (text and arcs of each), of rank r.
+def _partners(n: int, tail: str) -> str:
+    """Each position's arc partner (0 for none) under a name's arc suffix ``tail``, as Latin-1."""
+    ends = bytearray(n)
+    if tail:
+        for chunk in tail[2:-1].split("]["):
+            j, k = map(int, chunk.split(","))
+            ends[j - 1], ends[k - 1] = k, j
+    return ends.decode("latin-1")
 
-    The sorted names' byte records are laid end to end in a blob, which
-    :func:`_root_runs` rewrites, and a record -> index dict finds rewritten
-    records; both are freed before the table is validated.
+
+def _records(n: int, r: int, signed: bool):
+    """The sorted names of a shape, their n-byte records end to end, and the record -> index dict.
+
+    The one record encoding of the table build and of :class:`PatternMoves`;
+    callers refuse an oversized shape first.
     """
-    names, partners = [], {"": bytes(n)}  # partners: arc suffix -> each position's partner
-    for text, arcs in patterns:
-        names.append(text)
-        if arcs and (tail := text[n:]) not in partners:
-            ends = dict(arcs) | {k: j for j, k in arcs}
-            partners[tail] = bytes(ends.get(p, 0) for p in range(1, n + 1))
-    names = tuple(sorted(names))
-    index, blob = {}, bytearray()
-    for k, name in enumerate(names):
-        record = name[:n].encode("latin-1", "replace").translate(_ENCODE) + partners[name[n:]]
-        index[record] = k
-        blob += record
+    names = tuple(sorted(map(itemgetter(0), _pattern_parts(n, r, signed))))
+    entries, tails = itemgetter(slice(n)), itemgetter(slice(n, None))
+    partners = {tail: _partners(n, tail) for tail in set(map(tails, names))}
+    # All entries' codes, ORed as one int with all partners: the records end to end.
+    coded = "".join(map(entries, names)).encode("latin-1", "replace").translate(_ENCODE)
+    arcs = "".join(map(partners.__getitem__, map(tails, names))).encode("latin-1")
+    coded, arcs = int.from_bytes(coded, "big"), int.from_bytes(arcs, "big")
+    blob = bytearray((coded | arcs).to_bytes(len(names) * n, "big"))
+    del coded, arcs
+    index = dict(zip(map(itemgetter(0), struct.Struct(f"{n}s").iter_unpack(blob)), count()))
+    if len(index) != len(names):
+        raise ValueError("pattern records must be distinct")
+    return names, blob, index
+
+
+def _images(blob: bytearray, index, n: int, i: int) -> array:
+    """The index of each record in ``blob`` transposed at root i, as ``array('I')``.
+
+    A ``bytes.translate`` of partners i <-> i+1 and an extended-slice swap of the
+    columns i, i+1 transpose every record; one ``index`` lookup each finds it.
+    """
+    swapped = blob.translate(bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
+    swapped[i - 1 :: n], swapped[i::n] = swapped[i::n], swapped[i - 1 :: n]
+    unpack = struct.Struct(f"{n}s").iter_unpack
+    return array("I", map(index, map(itemgetter(0), unpack(swapped))))
+
+
+def _build(n: int, r: int, signed: bool) -> ReflectionTable:
+    """The table of the patterns of a shape, from their records (:func:`_records`).
+
+    :func:`_root_runs` rewrites the blob of records, and the record -> index
+    dict finds rewritten records; both are freed before the table is validated.
+    """
+    names, blob, index = _records(n, r, signed)
     columns = {i: _root_runs(blob, index.__getitem__, n, i) for i in range(1, n)}
     del index, blob
     # Arc-free names are of maximal rank, and open with no zero among the first r entries.
@@ -379,27 +420,20 @@ def _build(n: int, r: int, patterns) -> ReflectionTable:
 def _root_runs(blob: bytearray, index, n: int, i: int) -> list:
     """The runs at root i of the records in ``blob``, with ``array('I')`` members.
 
-    Two extended-slice swaps of record columns and a ``bytes.translate`` of partners
-    i <-> i+1 transpose every record; one ``index`` lookup each gives the image, with
-    the U partners and the second opens of N2.  Only the N2 and N heads look up their
-    records merged into the arc (i, i+1), their lowers.  :func:`classify_cell` types
-    each distinct (entries, partners) key once.  Each span comes from one member: the
-    orbit of P/N0, the open one of U, the (+,-) one of N2, the bare-dot one of N.
+    The transposed records' indices (:func:`_images`) give the U partners and
+    the second opens of N2.  Only the N2 and N heads look up their records
+    merged into the arc (i, i+1), their lowers.  :func:`classify_cell` types
+    each distinct pair of bytes at i, i+1 once.  Each span comes from one member:
+    the orbit of P/N0, the open one of U, the (+,-) one of N2, the bare-dot one of N.
     """
-    width, cells = 2 * n, range(len(blob) // (2 * n))
-    unpack, first = struct.Struct(f"{width}s").iter_unpack, itemgetter(0)
-    # Each cell's entries and partners at i, i+1 as one int, so that each key is typed once.
-    key_bytes = bytearray(4 * len(cells))
-    for k, column in enumerate((i - 1, i, n + i - 1, n + i)):
-        key_bytes[k::4] = blob[column::width]
-    with memoryview(key_bytes).cast("I") as keys:
-        head_of = {key: _head_of(*key.to_bytes(4, sys.byteorder), i) for key in set(keys)}
+    cells = range(len(blob) // n)
+    # Each cell's bytes at i, i+1 as one int, so that each key is typed once.
+    key_bytes = bytearray(2 * len(cells))
+    key_bytes[0::2], key_bytes[1::2] = blob[i - 1 :: n], blob[i::n]
+    with memoryview(key_bytes).cast("H") as keys:
+        head_of = {key: _head_of(*key.to_bytes(2, sys.byteorder), i) for key in set(keys)}
         heads = bytes(map(head_of.__getitem__, keys))
-    swapped = blob.translate(bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
-    for a in (i - 1, n + i - 1):  # the entries, then the partners, of positions i and i+1
-        swapped[a::width], swapped[a + 1 :: width] = swapped[a + 1 :: width], swapped[a::width]
-    image = array("I", map(index, map(first, unpack(swapped))))
-    del swapped
+    image = _images(blob, index, n, i)
     runs = []
     for (edge, opens, transposed, merged), select in zip(_RUNS, _HEADS):
         chosen = heads.translate(select)
@@ -407,11 +441,10 @@ def _root_runs(blob: bytearray, index, n: int, i: int) -> list:
             continue
         slots = [compress(cells, chosen)] + [compress(image, chosen)] * transposed
         if merged:  # every record is rewritten in C, but only the heads' are looked up
-            arc, dot = bytearray(blob), _ENTRY_BYTE[DOT]
-            for column, byte in ((i - 1, dot), (i, dot), (n + i - 1, i + 1), (n + i, i)):
-                arc[column::width] = bytes((byte,)) * len(cells)
-            starts = compress(range(0, len(arc), width), chosen)
-            slots.append([index(bytes(arc[start : start + width])) for start in starts])
+            arc = bytearray(blob)
+            arc[i - 1 :: n], arc[i::n] = bytes((i + 1,)) * len(cells), bytes((i,)) * len(cells)
+            starts = compress(range(0, len(arc), n), chosen)
+            slots.append([index(bytes(arc[start : start + n])) for start in starts])
         runs.append((edge, opens, len(slots) - opens, array("I", chain.from_iterable(zip(*slots)))))
     return runs
 
@@ -425,7 +458,7 @@ def _table(n: int, r: int, signed: bool) -> ReflectionTable:
     table = _TABLES.get((n, r, signed))
     if table is None:
         _refuse_oversized(n, r, signed)
-        table = _TABLES[n, r, signed] = _build(n, r, _pattern_parts(n, r, signed))
+        table = _TABLES[n, r, signed] = _build(n, r, signed)
     return table
 
 
@@ -449,7 +482,50 @@ class SylvesterClass(_Record):
     __slots__ = ("plus", "minus", "orbits")
 
 
-class OpenPatterns:
+class _Moves:
+    """``check_braid`` and ``subgroup_orbits`` over ``_names``, ``_reflections`` and ``cartan``.
+
+    They answer as a table's do, from its reflections alone; each subclass's
+    ``_domain(names, gens, perms)`` makes a domain argument a mask or refuses it.
+    """
+
+    def check_braid(self, restrict_to=None, generators=None):
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
+        domain = self._domain(restrict_to, gens, perms)
+        return braid_report(self._names, domain, self.cartan, gens, perms)
+
+    def subgroup_orbits(self, generators, domain=None) -> tuple[tuple[str, ...], ...]:
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
+        return orbit_classes(self._names, self._domain(domain, gens, perms), perms)
+
+
+class PatternMoves(_Moves):
+    """All signed patterns of one shape and each root's reflection of them, without the table.
+
+    The reflection at root i maps each pattern to its transposition at i,
+    which is the permutation of :func:`build_table`'s table there.  Answers
+    as that table does on any domain, refusals included.
+    """
+
+    def __init__(self, n: int, r: int) -> None:
+        _refuse_oversized(n, r, signed=True)
+        self._names, blob, index = _records(n, r, signed=True)
+        # The images are made while the index lives, as arrays; the lists come after it is freed.
+        images = {i: _images(blob, index.__getitem__, n, i) for i in range(1, n)}
+        identity = [*index.values()]  # 0, 1, ...: the index's own ints, shared by every reflection
+        del blob, index
+        self._reflections = {}
+        for i in range(1, n):
+            perm = self._reflections[i] = [*map(identity.__getitem__, images.pop(i))]
+            if [*map(perm.__getitem__, perm)] != identity:
+                raise ValueError(f"the transposition at root {i} is not an involution")
+        self.cartan = CartanSpec.from_type("A", n - 1)
+
+    def _domain(self, names, gens, perms) -> bytearray:
+        return resolve_domain(self._names, names, gens, perms)
+
+
+class OpenPatterns(_Moves):
     """The 2^r open patterns of one shape and each root's moves on them, without the full table.
 
     Answers as :func:`build_table`'s table does on its open patterns, refusals
@@ -489,15 +565,6 @@ class OpenPatterns:
             raise ValueError("open patterns answer only on the domain of all open patterns")
         check_invariant(self._names, self._open, gens, perms)
         return self._open
-
-    def check_braid(self, restrict_to=None, generators=None):
-        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        domain = self._domain(restrict_to, gens, perms)
-        return braid_report(self._names, domain, self.cartan, gens, perms)
-
-    def subgroup_orbits(self, generators, domain=None) -> tuple[tuple[str, ...], ...]:
-        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        return orbit_classes(self._names, self._domain(domain, gens, perms), perms)
 
     def real_group_orbit_classes(self) -> tuple[tuple[str, ...], ...]:
         return orbit_classes(self._names, self._open, list(self._reflections.values()))

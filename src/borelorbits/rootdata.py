@@ -17,8 +17,9 @@ of the maximal torus.
 
 from __future__ import annotations
 
-from . import _Record
-from .lattice import IntegerMatrix, _as_int
+# The lattice module is reached through its lazy module object, so that only a
+# reflection matrix or a spherical datum runs it.
+from . import _Record, _as_int, lattice
 
 _COXETER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -167,14 +168,14 @@ class CartanSpec(_Record):
             raise ValueError("coxeter_exponent needs two distinct root indices")
         return _COXETER_BY_PRODUCT[self.a(i, j) * self.a(j, i)]
 
-    def reflection_matrix(self, i: int) -> IntegerMatrix:
+    def reflection_matrix(self, i: int) -> "lattice.IntegerMatrix":
         """The simple reflection s_i on simple-root coordinates (an involution)."""
         self._check_index(i)
         n = self.rank
         rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
         for c in range(n):
             rows[i - 1][c] = (1 if i - 1 == c else 0) - self.matrix[i - 1][c]
-        return IntegerMatrix.from_rows(rows)
+        return lattice.IntegerMatrix.from_rows(rows)
 
     def to_json(self) -> dict:
         if self.label is not None:
@@ -223,7 +224,7 @@ class SphericalDatum(_Record):
                     f"spherical root {v} has length {len(v)}, expected rank {rank}"
                 )
         if self.spherical_roots:
-            m = IntegerMatrix.from_rows(self.spherical_roots)
+            m = lattice.IntegerMatrix.from_rows(self.spherical_roots)
             if m.rank() != len(self.spherical_roots):
                 raise ValueError("spherical roots must be linearly independent")
         if self.weight_sublattice.rank() != self.weight_sublattice.rows:
@@ -263,7 +264,7 @@ class SphericalDatum(_Record):
         cartan = CartanSpec.from_json(obj)
         try:
             roots = obj["spherical_roots"]
-            sublattice = IntegerMatrix.from_json(obj["weight_sublattice"])
+            sublattice = lattice.IntegerMatrix.from_json(obj["weight_sublattice"])
         except KeyError as exc:
             raise ValueError(f"spherical datum JSON is missing {exc}") from exc
         if not _is_int_rows(roots):

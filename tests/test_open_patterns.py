@@ -1,11 +1,14 @@
-"""The open-pattern commands against the full pattern table.
+"""The quadratic commands against the full pattern table.
 
 ``sylvester``, ``braid-check --example quadratic --open-only`` and ``orbits
 --example quadratic`` (without ``--generators``, or with ``--domain open``)
 read only the 2^r open patterns of their shape
-(:class:`borelorbits.patterns.OpenPatterns`).  Their stdout, stderr and exit
-status must be those of the same command on the full table, read back here
-through ``--table`` from the JSON that :func:`build_table` emits.
+(:class:`borelorbits.patterns.OpenPatterns`).  ``braid-check`` and ``orbits
+--generators`` on all orbits read every pattern's transpositions
+(:class:`borelorbits.patterns.PatternMoves`).  Neither builds the table.
+Their stdout, stderr and exit status must be those of the same command on
+the full table, read back here through ``--table`` from the JSON that
+:func:`build_table` emits.
 """
 
 import functools
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelorbits import cli, orbits, patterns, rootdata
-from borelorbits.patterns import OpenPatterns, build_table, sylvester_classes
+from borelorbits.patterns import OpenPatterns, PatternMoves, build_table, sylvester_classes
 
 SHAPES = [(n, r) for n in range(1, 9) for r in range(n + 1)]
 
@@ -35,15 +38,20 @@ def generator_lists(n: int, r: int) -> list[str]:
     return sorted({",".join(map(str, pick)) for pick in picks if pick})
 
 
-def open_commands(n: int, r: int):
-    """The open-domain commands of a shape, without their table source."""
+def pattern_commands(n: int, r: int):
+    """The open- and full-domain commands of a shape, without their table source."""
     yield "braid-check", "--open-only"
     yield "braid-check", "--open-only", "--strict", "--format", "json"
+    yield ("braid-check",)
+    yield "braid-check", "--strict", "--format", "json"
     yield ("orbits",)
     yield "orbits", "--format", "json"
     for generators in generator_lists(n, r):
         yield "braid-check", "--open-only", f"--generators={generators}", "--strict"
+        yield "braid-check", f"--generators={generators}", "--format", "json"
         yield "orbits", f"--generators={generators}", "--domain", "open", "--format", "json"
+        yield "orbits", f"--generators={generators}"
+        yield "orbits", f"--generators={generators}", "--domain", "all", "--format", "json"
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +69,7 @@ def table_files(tmp_path_factory):
 def read_once(monkeypatch):
     """Each ``--table`` file is read and validated once; later commands reuse that table.
 
-    A shape has up to 18 commands, and reading all 44 files once takes about 1.2 s.
+    A shape has up to 41 commands, and reading all 44 files once takes about 1.2 s.
     """
     read_json = functools.lru_cache(maxsize=None)(cli._read_json)
     from_json = orbits.ReflectionTable.from_json
@@ -81,7 +89,7 @@ def test_open_commands_match_the_full_table(n, table_files, read_once, capsys):
     for r in range(n + 1):
         example = ("--example", "quadratic", "--n", str(n), "--r", str(r))
         table = ("--table", str(table_files[n, r]))
-        for command in open_commands(n, r):
+        for command in pattern_commands(n, r):
             argv = (*command[:1], *example, *command[1:])
             expected = run_cli(capsys, (*command[:1], *table, *command[1:]))
             assert run_cli(capsys, argv) == expected, " ".join(argv)
@@ -90,7 +98,7 @@ def test_open_commands_match_the_full_table(n, table_files, read_once, capsys):
 def test_the_compared_commands_include_each_refusal(capsys):
     # Answers, roots out of range and open patterns that a generator carries out.
     seen = set()
-    for command in open_commands(4, 2):
+    for command in pattern_commands(4, 2):
         argv = (*command[:1], "--example", "quadratic", "--n", "4", "--r", "2", *command[1:])
         code, _, err = run_cli(capsys, argv)
         seen.add("answer" if code == 0 else json.loads(err)["error"]["message"].split()[0])
@@ -98,9 +106,9 @@ def test_the_compared_commands_include_each_refusal(capsys):
 
 
 def example_argvs(n: int, r: int):
-    """``sylvester`` and the open-domain commands of shape (3, 2), on the shape (n, r)."""
+    """``sylvester`` and the pattern commands of shape (3, 2), on the shape (n, r)."""
     yield "sylvester", "--n", str(n), "--r", str(r)
-    for command in open_commands(3, 2):
+    for command in pattern_commands(3, 2):
         yield (*command[:1], "--example", "quadratic", "--n", str(n), "--r", str(r), *command[1:])
 
 
@@ -152,6 +160,48 @@ def test_open_patterns_answer_as_the_table_does(data):
     assert opens.real_group_orbit_classes() == table.real_group_orbit_classes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pattern_moves_answer_as_the_table_does(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    r = data.draw(st.integers(0, n), label="r")
+    gens = data.draw(st.none() | st.lists(st.integers(0, n), max_size=4), label="generators")
+    moves, table = PatternMoves(n, r), build_table(n, r)
+    assert moves._reflections == table._reflections
+    names = table.orbit_names
+    # A few names: a generator that moves one of them out refuses the subset.
+    subset = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4), label="subset")
+    for domain in (None, names, table.open_orbit_names, subset, [*subset, "unknown"]):
+        queries = ("check_braid", (domain, gens)), ("subgroup_orbits", (gens or [1], domain))
+        for name, args in queries:
+            expected = _outcome(lambda: getattr(table, name)(*args))
+            assert _outcome(lambda: getattr(moves, name)(*args)) == expected
+
+
+def test_pattern_moves_refuse_a_reflection_that_is_no_involution(monkeypatch):
+    images = patterns._images
+
+    def rotated(blob, index, n, i):
+        image = images(blob, index, n, i)
+        return image[1:] + image[:1] if i == 2 else image
+
+    monkeypatch.setattr(patterns, "_images", rotated)
+    with pytest.raises(ValueError, match="^the transposition at root 2 is not an involution$"):
+        PatternMoves(4, 2)
+
+
+def test_pattern_moves_refuse_records_that_repeat(monkeypatch):
+    parts = patterns._pattern_parts
+
+    def twice(n, r, signed):
+        yield from parts(n, r, signed)
+        yield from parts(n, r, signed)
+
+    monkeypatch.setattr(patterns, "_pattern_parts", twice)
+    with pytest.raises(ValueError, match="^pattern records must be distinct$"):
+        PatternMoves(3, 2)
+
+
 def test_open_patterns_refuse_a_domain_other_than_all_open_patterns():
     opens = OpenPatterns(3, 3)
     with pytest.raises(ValueError, match="all open patterns"):
@@ -160,6 +210,7 @@ def test_open_patterns_refuse_a_domain_other_than_all_open_patterns():
 
 
 def test_open_commands_build_no_pattern_table(capsys, monkeypatch):
+    # No quadratic command builds the table: on all orbits they read the patterns' moves.
     def build(*args):
         raise AssertionError("the pattern table was built")
 
@@ -171,10 +222,11 @@ def test_open_commands_build_no_pattern_table(capsys, monkeypatch):
     for argv in [
         ("sylvester", "--n", "9", "--r", "9", "--format", "json"),
         ("braid-check", *example, "--open-only", "--strict"),
+        ("braid-check", *example, "--strict", "--format", "json"),
         ("orbits", *example),
         ("orbits", *example, "--generators", "1,3,5", "--domain", "open"),
+        ("orbits", *example, "--generators", "1,3,5"),
+        ("orbits", *example, "--generators", "1,3,5", "--domain", "all"),
     ]:
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "") and out, " ".join(argv)
-    with pytest.raises(AssertionError, match="the pattern table was built"):
-        cli.main(["orbits", *example, "--generators", "1,3,5"])

@@ -49,6 +49,21 @@ def test_lattice_commands_run_only_lattice(tmp_path):
         assert json.loads(last) == {"code": 0, "executed": ["lattice"]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("braid-check", "--example", "quadratic", "--n", "4", "--r", "4"),
+        ("orbits", "--example", "quadratic", "--n", "4", "--r", "2", "--generators", "1,3"),
+        ("sylvester", "--n", "3", "--r", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_quadratic_commands_do_not_run_lattice(argv):
+    """A Cartan spec needs no lattice: only reflection matrices and spherical data run it."""
+    last = _fresh_child(_EXECUTED, *argv).splitlines()[-1]
+    assert json.loads(last) == {"code": 0, "executed": ["orbits", "patterns", "rootdata"]}
+
+
 # The modules loaded once a CLI command has run, as the last line of output.
 _LOADED = """
 import json, sys
