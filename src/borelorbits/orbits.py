@@ -594,13 +594,14 @@ class ReflectionTable:
     # -- orbit enumeration ---------------------------------------------------
 
     def subgroup_orbits(
-        self, generators: Iterable[int], domain: Iterable[str] | None = None
+        self, generators: Iterable[int] | None, domain: Iterable[str] | None = None
     ) -> tuple[tuple[str, ...], ...]:
         """Orbits of the subgroup generated by the given reflections on ``domain`` (None: all).
 
-        Connected components of the graph whose edges are the generator moves,
-        computed by breadth-first closure; the result does not depend on the
-        order of the input.
+        ``generators`` None means every simple root.  Connected components of
+        the graph whose edges are the generator moves, computed by
+        breadth-first closure; the result does not depend on the order of the
+        input.
         """
         gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
         return orbit_classes(self._names, resolve_domain(self._names, domain, gens, perms), perms)

@@ -32,12 +32,13 @@ and ``_images``).
 
 No command builds a table.  The open patterns are the 2^r arc-free ones
 with signs on the first r positions.  The commands that ask only about them
-read :class:`OpenPatterns`, the 2^r open texts and each root's image of
-each: ``sylvester``, ``braid-check --example quadratic --open-only``, and
-``orbits --example quadratic`` without ``--generators`` or with ``--domain
-open``.  ``braid-check`` and ``orbits --generators`` on all orbits read
-:class:`PatternMoves`, each root's transposition of every pattern's record,
-which is the table's reflection there.  ``patterns`` prints the enumeration.
+read :class:`OpenPatterns`, the 2^r open texts and each root's swap of two
+entries in each: ``sylvester``, ``braid-check --example quadratic
+--open-only``, and ``orbits --example quadratic`` without ``--generators``
+or with ``--domain open``.  ``braid-check`` and ``orbits --generators`` on
+all orbits read :class:`PatternMoves`, each root's transposition of every
+pattern's record.  Either way a root's reflection is its adjacent
+transposition, as in the table.  ``patterns`` prints the enumeration.
 
 Which member of a U-pair is open is decided by the ranks of the upper-left
 corner submatrices of the form (:meth:`SignedPattern.corner_rank`), the
@@ -55,7 +56,6 @@ import itertools
 import math
 import struct
 import sys
-import weakref
 from array import array
 from itertools import chain, compress, count
 from operator import itemgetter
@@ -449,31 +449,20 @@ def _root_runs(blob: bytearray, index, n: int, i: int) -> list:
     return runs
 
 
-# Built tables by (n, r, signed), held weakly: callers holding a table share
-# it, and a table that no caller holds is freed.
-_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _table(n: int, r: int, signed: bool) -> ReflectionTable:
-    table = _TABLES.get((n, r, signed))
-    if table is None:
-        _refuse_oversized(n, r, signed)
-        table = _TABLES[n, r, signed] = _build(n, r, signed)
-    return table
-
-
 def build_table(n: int, r: int) -> ReflectionTable:
     """Reflection table of all signed patterns of rank r on n positions.
 
     The induced permutation of every root coincides with the adjacent
     transposition of entries.
     """
-    return _table(n, r, signed=True)
+    _refuse_oversized(n, r, signed=True)
+    return _build(n, r, signed=True)
 
 
 def build_complex_table(n: int, r: int) -> ReflectionTable:
     """Same construction for unsigned (complex) patterns, with types P/U/N."""
-    return _table(n, r, signed=False)
+    _refuse_oversized(n, r, signed=False)
+    return _build(n, r, signed=False)
 
 
 class SylvesterClass(_Record):
@@ -532,32 +521,23 @@ class OpenPatterns(_Moves):
     included: ``check_braid`` and ``subgroup_orbits`` on the domain of all the
     open patterns (given as None or as their names), and
     ``real_group_orbit_classes``.  Pattern k < 2^r is the k-th open pattern in
-    name order.  At root i its cell type (:func:`classify_cell`) gives its
-    image: N2 the other open pattern, N0 and P itself, U a lower pattern,
-    listed after the open ones only so that a refusal can name it.
+    name order.  Its image at root i is its text with positions i and i+1
+    swapped: itself, the other open pattern, or a lower pattern, which takes
+    the next index when first seen only so that a refusal can name it.
     """
 
     def __init__(self, n: int, r: int) -> None:
         _refuse_oversized(n, r, signed=True)
         # Signs on the first r positions, in name order ("+" < "-"), zeros after.
         opens = ["".join(signs) + ZERO * (n - r) for signs in itertools.product(_SIGNS, repeat=r)]
-        index, names, self._reflections = {text: k for k, text in enumerate(opens)}, opens[:], {}
+        index = {text: k for k, text in enumerate(opens)}
+        self._reflections = {}
         for i in range(1, n):
-            perm = self._reflections[i] = []
-            for k, text in enumerate(opens):
-                edge = classify_cell(text[i - 1], text[i], 0, 0, i)[0]
-                if edge is EdgeType.N0 or edge is EdgeType.P:
-                    perm.append(k)
-                    continue
-                image = text[: i - 1] + text[i] + text[i - 1] + text[i + 1 :]
-                if edge is EdgeType.U:  # a lower pattern, named only by a refusal
-                    perm.append(len(names))
-                    names.append(image)
-                else:  # N2: the other open pattern
-                    perm.append(index[image])
+            images = (text[: i - 1] + text[i] + text[i - 1] + text[i + 1 :] for text in opens)
+            self._reflections[i] = [index.setdefault(image, len(index)) for image in images]
         self.cartan = CartanSpec.from_type("A", n - 1)
-        self.open_orbit_names, self._names = tuple(opens), tuple(names)
-        self._open = bytes([1]) * len(opens) + bytes(len(names) - len(opens))
+        self.open_orbit_names, self._names = tuple(opens), tuple(index)
+        self._open = bytes([1]) * len(opens) + bytes(len(index) - len(opens))
 
     def _domain(self, names, gens, perms) -> bytes:
         """The open patterns' mask; refused if ``names`` is another set or a generator leaves it."""

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -915,9 +914,8 @@ def test_example_output_is_written_as_it_is_made(monkeypatch):
 
 
 def test_quadratic_orbits_json_is_written_as_it_is_made(monkeypatch):
-    """Peak traced memory of the n = 8, r = 6 subgroup orbits: 6.8 MB, and 9.1 MB when the
-    build scaffolding lived through validation, domains were sets and the JSON was one string."""
-    monkeypatch.setattr(patterns, "_TABLES", weakref.WeakValueDictionary())  # build it here
+    """Peak traced memory of the n = 8, r = 6 subgroup orbits, read from the patterns' moves:
+    4.19 MB, and 6.8 MB when the command built the full table."""
     argv = "orbits --example quadratic --n 8 --r 6 --generators 1,2,3,4,5,6,7 --format json"
     with open(os.devnull, "w", encoding="utf-8") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
@@ -928,14 +926,12 @@ def test_quadratic_orbits_json_is_written_as_it_is_made(monkeypatch):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 8 * 2**20
+    assert peak < 5 * 2**20
 
 
-def test_largest_quadratic_benchmark_command_peaks_under_15_mb(monkeypatch):
-    """Peak traced memory of the n = 9, r = 6 subgroup orbits (41,916 orbits): 13.8 MB, and
-    19.5-19.7 MB when the build made an Orbit record per pattern, kept every root's rewrites and
-    runs as lists, and the domain was the list of all names.  Tracing makes it take about 15 s."""
-    monkeypatch.setattr(patterns, "_TABLES", weakref.WeakValueDictionary())  # build it here
+def test_largest_quadratic_benchmark_command_peaks_under_12_5_mb(monkeypatch):
+    """Peak traced memory of the n = 9, r = 6 subgroup orbits (41,916 orbits), read from the
+    patterns' moves: 10.55 MB, and 13.8 MB when the command built the full table."""
     argv = "orbits --example quadratic --n 9 --r 6 --generators 1,2,3,4,5,6,7,8 --format json"
     with open(os.devnull, "w", encoding="utf-8") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
@@ -946,4 +942,4 @@ def test_largest_quadratic_benchmark_command_peaks_under_15_mb(monkeypatch):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 15 * 2**20
+    assert peak < 12.5 * 2**20

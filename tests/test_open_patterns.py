@@ -13,14 +13,20 @@ the full table, read back here through ``--table`` from the JSON that
 
 import functools
 import json
-import weakref
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelorbits import cli, orbits, patterns, rootdata
-from borelorbits.patterns import OpenPatterns, PatternMoves, build_table, sylvester_classes
+from borelorbits.patterns import (
+    OpenPatterns,
+    PatternMoves,
+    SignedPattern,
+    build_table,
+    sylvester_classes,
+)
 
 SHAPES = [(n, r) for n in range(1, 9) for r in range(n + 1)]
 
@@ -93,6 +99,25 @@ def test_open_commands_match_the_full_table(n, table_files, read_once, capsys):
             argv = (*command[:1], *example, *command[1:])
             expected = run_cli(capsys, (*command[:1], *table, *command[1:]))
             assert run_cli(capsys, argv) == expected, " ".join(argv)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_open_moves_past_the_differential_are_the_models_transpositions(n):
+    """Past n = 8, where the ``--table`` differential stops: each open pattern's image at
+    root i is its transposition in the model, the lower names are exactly the images that
+    are not open, and the n + 1 classes of n signs hold C(n, k) patterns each."""
+    for r in range(n + 1):
+        opens = OpenPatterns(n, r)
+        images = set()
+        for i, perm in opens._reflections.items():
+            for text, k in zip(opens.open_orbit_names, perm):
+                image = SignedPattern.from_text(text).apply_transposition(i).to_text()
+                assert opens._names[k] == image, (r, i, text)
+                images.add(image)
+        lower = opens._names[len(opens.open_orbit_names) :]
+        assert sorted(lower) == sorted(images - set(opens.open_orbit_names))
+    sizes = [(c.plus, c.minus, len(c.orbits)) for c in sylvester_classes(n, n)]
+    assert sizes == [(n - k, k, math.comb(n, k)) for k in range(n + 1)]
 
 
 def test_the_compared_commands_include_each_refusal(capsys):
@@ -215,7 +240,6 @@ def test_open_commands_build_no_pattern_table(capsys, monkeypatch):
         raise AssertionError("the pattern table was built")
 
     monkeypatch.setattr(patterns, "_build", build)
-    monkeypatch.setattr(patterns, "_TABLES", weakref.WeakValueDictionary())
     classes = sylvester_classes(9, 9)
     assert [(c.plus, c.minus) for c in classes] == [(9 - k, k) for k in range(10)]
     example = ("--example", "quadratic", "--n", "9", "--r", "9")

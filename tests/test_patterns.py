@@ -5,7 +5,6 @@ import math
 import random
 import sys
 import tracemalloc
-import weakref
 
 import pytest
 
@@ -313,10 +312,9 @@ def test_bulk_tables_agree_with_validating_constructor():
             assert again.real_group_orbit_classes() == table.real_group_orbit_classes()
 
 
-def test_a_built_table_holds_its_orbits_as_columns(monkeypatch):
+def test_a_built_table_holds_its_orbits_as_columns():
     """Traced memory the finished n = 8, r = 6 table holds: 3.6-3.9 MB, and 5.2-5.6 MB when
     each orbit was also kept as an ``Orbit`` record and in a name -> index dict."""
-    monkeypatch.setattr(patterns_module, "_TABLES", weakref.WeakValueDictionary())  # build it here
     tracemalloc.start()
     try:
         table = build_table(8, 6)
@@ -357,18 +355,6 @@ def test_subgroup_orbits_default_to_every_orbit(n, r, signed):
     for gens in ([], [1], [1, 3], range(1, n)):
         assert table.subgroup_orbits(gens) == table.subgroup_orbits(gens, table.orbit_names)
         assert table.subgroup_orbits(gens, None) == table.subgroup_orbits(gens, table.orbit_names)
-
-
-def test_built_tables_are_shared_only_while_held():
-    import gc
-
-    table = build_table(5, 3)
-    assert build_table(5, 3) is table
-    assert build_complex_table(5, 3) is not table
-    held = weakref.ref(table)
-    del table
-    gc.collect()
-    assert held() is None
 
 
 def test_table_spans_follow_type_table():
