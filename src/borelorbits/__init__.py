@@ -87,11 +87,24 @@ class _Record:
         return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
 
+def _shown(value) -> str:
+    """The repr of ``value`` for a refusal, cut to 60 characters and ``...``: input has any size."""
+    return text if len(text := repr(value)) <= 60 else text[:60] + "..."
+
+
 def _as_int(x, what: str = "matrix entries") -> int:
     """``x`` if it is an exact integer (bools excluded), else a ValueError naming ``what``."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be exact integers, got {x!r}")
+        raise ValueError(f"{what} must be exact integers, got {_shown(x)}")
     return x
+
+
+def _check_int_rows(rows, what: str = "matrix entries") -> None:
+    """Refuse ``rows`` as :func:`_as_int` does their first bad entry; plain int rows pass whole."""
+    for row in rows:
+        if not set(map(type, row)) <= {int}:
+            for x in row:
+                _as_int(x, what)
 
 
 def _register_lazily(names) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from . import _Record, _as_int
+from . import _Record, _as_int, _check_int_rows
 
 
 MAX_MATRIX_SIDE = 200  # most rows or columns a JSON matrix may have, as rootdata.MAX_RANK
@@ -40,20 +40,17 @@ class IntegerMatrix(_Record):
     __slots__ = ("entries",)
 
     def __post_init__(self) -> None:
+        """Check every entry, then the shape: a bad entry is named before a ragged row."""
         rows = self.entries
-        if rows:
-            width = len(rows[0])
-            if width == 0:
-                raise ValueError("matrix rows must be nonempty")
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("matrix rows must all have the same length")
-                for x in row:
-                    _as_int(x)
+        _check_int_rows(rows)
+        if rows and not rows[0]:
+            raise ValueError("matrix rows must be nonempty")
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("matrix rows must all have the same length")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
-        return cls(tuple(tuple(_as_int(x) for x in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":

@@ -42,7 +42,7 @@ from json.encoder import encode_basestring
 from operator import ge, gt, itemgetter, ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import _Record
+from . import _Record, _shown
 from .rootdata import CartanSpec
 
 
@@ -96,6 +96,7 @@ _FIRST_SLOT = bytes(code & 3 == 0 for code in range(256))
 _T2_CELLS = bytes(code >> 2 == _TYPE_CODE[EdgeType.T2] for code in range(256))
 _MOVES_OPENS = (_TYPE_CODE[EdgeType.T2], _TYPE_CODE[EdgeType.N2])
 _JSON_BOOL = {False: "false", True: "true"}
+_EDGE_TYPES = {edge.value: edge for edge in _TYPES}  # the table JSON's type values
 
 
 # Builders refuse, before allocating, more orbits than this: the n = r = 10
@@ -176,26 +177,6 @@ class BraidReport(_Record):
         return {"holds": self.holds, "pairs": pairs}
 
 
-def _braid_witness(si: list[int], sj: list[int], m: int, support: set[int]) -> int | None:
-    """Least index on a cycle of s_i s_j whose length does not divide ``m``.
-
-    ``support`` holds the points s_i or s_j moves, cut down to an invariant
-    domain; it is consumed.  Returns None when (s_i s_j)^m = id there.
-    """
-    witness = None
-    while support:
-        start = support.pop()
-        cycle = [start]
-        point = si[sj[start]]
-        while point != start:
-            cycle.append(point)
-            support.discard(point)
-            point = si[sj[point]]
-        if m % len(cycle):
-            witness = min(cycle) if witness is None else min(witness, *cycle)
-    return witness
-
-
 # Routines over orbit names, a domain mask and reflections; tables and pattern moves share them.
 def generator_perms(reflections: dict, generators: Iterable[int] | None, rank: int):
     """The sorted distinct generators (None: every root) and their reflections."""
@@ -256,7 +237,10 @@ def braid_report(names, domain: bytes, cartan: CartanSpec, gens: Sequence[int], 
     results = []
     for (i, si, mi), (j, sj, mj) in combinations(zip(gens, perms, moved), 2):
         m = cartan.coxeter_exponent(i, j)
-        witness = _braid_witness(si, sj, m, {*mi, *mj})
+        support = ends = [*{*mi, *mj}]
+        for _ in range(m):
+            ends = [si[sj[x]] for x in ends]
+        witness = min(compress(support, map(ne, support, ends)), default=None)
         name = None if witness is None else names[witness]
         results.append(BraidPair(i, j, m, holds=name is None, witness=name))
     return BraidReport(pairs=tuple(results))
@@ -294,21 +278,21 @@ class TypeCensus(_Record):
 
 def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
 def _json_flag(entry: dict, key: str) -> bool:
     value = entry.get(key, False)
     if not isinstance(value, bool):
-        raise ValueError(f"orbit {key!r} must be true or false, got {value!r}")
+        raise ValueError(f"orbit {key!r} must be true or false, got {_shown(value)}")
     return value
 
 
 def _json_names(entry: dict, key: str) -> tuple[str, ...]:
     names = entry.get(key, [])
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise ValueError(f"span {key!r} must be a list of orbit names, got {names!r}")
+        raise ValueError(f"span {key!r} must be a list of orbit names, got {_shown(names)}")
     return tuple(names)
 
 
@@ -579,13 +563,12 @@ class ReflectionTable:
         be invariant under every generator.  ``generators`` defaults to all
         simple roots.
 
-        The composite p = s_i s_j (apply s_j, then s_i) is split into cycles;
-        p^m moves exactly the points on cycles whose length does not divide
-        m, so the relation holds iff every cycle length divides m_ij.  Only
-        points moved by s_i or s_j can be moved by p, so each pair costs work
-        proportional to |supp s_i| + |supp s_j|, not to the orbit count.  On
-        failure the witness is the lexicographically least orbit on such a
-        cycle, i.e. the least orbit moved by (s_i s_j)^{m_ij}.
+        The composite p = s_i s_j (apply s_j, then s_i) is applied m_ij times
+        to the support of the pair, the points s_i or s_j moves: p fixes every
+        other point, so the relation holds iff p^m fixes the support.  Each
+        pair costs m_ij passes over |supp s_i| + |supp s_j| points, not over
+        the orbit count.  On failure the witness is the lexicographically
+        least orbit moved by (s_i s_j)^{m_ij}.
         """
         gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
         domain = resolve_domain(self._names, restrict_to, gens, perms)
@@ -662,23 +645,23 @@ class ReflectionTable:
         orbits = []
         for entry in orbit_objs:
             if not isinstance(entry, dict):
-                raise ValueError(f"orbit entry must be an object, got {entry!r}")
+                raise ValueError(f"orbit entry must be an object, got {_shown(entry)}")
             name = entry.get("id")
             if not isinstance(name, str) or not name:
-                raise ValueError(f"orbit 'id' must be a nonempty string, got {name!r}")
+                raise ValueError(f"orbit 'id' must be a nonempty string, got {_shown(name)}")
             flags = _json_flag(entry, "open"), _json_flag(entry, "max_rank")
             dim = _json_int(entry["dim"], "orbit 'dim'") if "dim" in entry else None
             orbits.append((name, *flags, dim))
         spans = []
         for entry in span_objs:
             if not isinstance(entry, dict):
-                raise ValueError(f"span entry must be an object, got {entry!r}")
+                raise ValueError(f"span entry must be an object, got {_shown(entry)}")
             if "type" not in entry or "root" not in entry:
-                raise ValueError(f"span entry needs 'root' and 'type': {entry!r}")
+                raise ValueError(f"span entry needs 'root' and 'type': {_shown(entry)}")
             try:
-                edge = EdgeType(entry["type"])
-            except ValueError:
-                raise ValueError(f"unknown edge type {entry.get('type')!r}") from None
+                edge = _EDGE_TYPES[entry["type"]]
+            except (KeyError, TypeError):  # a list or an object is unhashable
+                raise ValueError(f"unknown edge type {_shown(entry['type'])}") from None
             root = _json_int(entry["root"], "span 'root'")
             spans.append((root, edge, _json_names(entry, "open"), _json_names(entry, "lower")))
         return cls(orbits=orbits, cartan=CartanSpec.from_json(cartan_obj), spans=spans)

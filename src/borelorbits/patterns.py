@@ -474,9 +474,12 @@ class SylvesterClass(_Record):
 class _Moves:
     """``check_braid`` and ``subgroup_orbits`` over ``_names``, ``_reflections`` and ``cartan``.
 
-    They answer as a table's do, from its reflections alone; each subclass's
-    ``_domain(names, gens, perms)`` makes a domain argument a mask or refuses it.
+    They answer as a table's do, from its reflections alone.  ``_domain(names, gens, perms)``
+    makes a domain argument a mask or refuses it as a table does, unless a subclass narrows it.
     """
+
+    def _domain(self, names, gens, perms) -> bytearray:
+        return resolve_domain(self._names, names, gens, perms)
 
     def check_braid(self, restrict_to=None, generators=None):
         gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
@@ -509,9 +512,6 @@ class PatternMoves(_Moves):
             if [*map(perm.__getitem__, perm)] != identity:
                 raise ValueError(f"the transposition at root {i} is not an involution")
         self.cartan = CartanSpec.from_type("A", n - 1)
-
-    def _domain(self, names, gens, perms) -> bytearray:
-        return resolve_domain(self._names, names, gens, perms)
 
 
 class OpenPatterns(_Moves):

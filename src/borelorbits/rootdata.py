@@ -19,7 +19,7 @@ from __future__ import annotations
 
 # The lattice module is reached through its lazy module object, so that only a
 # reflection matrix or a spherical datum runs it.
-from . import _Record, _as_int, lattice
+from . import _Record, _check_int_rows, _shown, lattice
 
 _COXETER_BY_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -115,7 +115,8 @@ class CartanSpec(_Record):
 
     def __post_init__(self) -> None:
         check_rank(len(self.matrix))
-        matrix = tuple(tuple(_as_int(x, "Cartan entries") for x in row) for row in self.matrix)
+        matrix = tuple(map(tuple, self.matrix))
+        _check_int_rows(matrix, "Cartan entries")
         object.__setattr__(self, "matrix", matrix)
         _validate_cartan(self.matrix)
 
@@ -189,14 +190,16 @@ class CartanSpec(_Record):
         if "cartan" in obj:
             rows = obj["cartan"]
             if not _is_int_rows(rows):
-                raise ValueError(f"Cartan 'cartan' must be a list of lists of integers, got {rows!r}")
+                raise ValueError(
+                    f"Cartan 'cartan' must be a list of lists of integers, got {_shown(rows)}"
+                )
             return cls.from_matrix(rows)
         if "type" in obj and "rank" in obj:
             letter, rank = obj["type"], obj["rank"]
             if not isinstance(letter, str):
-                raise ValueError(f"Cartan 'type' must be a string, got {letter!r}")
+                raise ValueError(f"Cartan 'type' must be a string, got {_shown(letter)}")
             if type(rank) is not int:
-                raise ValueError(f"Cartan 'rank' must be an integer, got {rank!r}")
+                raise ValueError(f"Cartan 'rank' must be an integer, got {_shown(rank)}")
             return cls.from_type(letter, rank)
         raise ValueError("Cartan JSON needs either 'cartan' or 'type'+'rank'")
 
@@ -213,9 +216,8 @@ class SphericalDatum(_Record):
     __slots__ = ("cartan", "spherical_roots", "weight_sublattice")
 
     def __post_init__(self) -> None:
-        roots = tuple(
-            tuple(_as_int(x, "spherical root entries") for x in v) for v in self.spherical_roots
-        )
+        roots = tuple(map(tuple, self.spherical_roots))
+        _check_int_rows(roots, "spherical root entries")
         object.__setattr__(self, "spherical_roots", roots)
         rank = self.cartan.rank
         for v in self.spherical_roots:
@@ -224,8 +226,7 @@ class SphericalDatum(_Record):
                     f"spherical root {v} has length {len(v)}, expected rank {rank}"
                 )
         if self.spherical_roots:
-            m = lattice.IntegerMatrix.from_rows(self.spherical_roots)
-            if m.rank() != len(self.spherical_roots):
+            if lattice.IntegerMatrix(roots).rank() != len(roots):
                 raise ValueError("spherical roots must be linearly independent")
         if self.weight_sublattice.rank() != self.weight_sublattice.rows:
             raise ValueError("weight sublattice basis must have full row rank")
@@ -269,7 +270,7 @@ class SphericalDatum(_Record):
             raise ValueError(f"spherical datum JSON is missing {exc}") from exc
         if not _is_int_rows(roots):
             raise ValueError(
-                f"datum 'spherical_roots' must be a list of lists of integers, got {roots!r}"
+                f"datum 'spherical_roots' must be a list of lists of integers, got {_shown(roots)}"
             )
         return cls(
             cartan=cartan,

@@ -468,6 +468,91 @@ def test_table_json_shape_errors(tmp_path, capsys, table, message):
     assert message in payload["error"]["message"]
 
 
+def _cut(value) -> str:
+    return repr(value)[:60] + "..."
+
+
+_LONG = "x" * 100_000
+_TRUES = [[True] * 150] * 150
+
+
+@pytest.mark.parametrize(
+    "argv, obj, message",
+    [
+        (
+            ("braid-check", "--example", "torus", "--cartan"),
+            {"cartan": _TRUES},
+            f"Cartan 'cartan' must be a list of lists of integers, got {_cut(_TRUES)}",
+        ),
+        (
+            ("divisors", "--matrix"),
+            {"entries": [[1, _LONG]]},
+            f"matrix entries must be exact integers, got {_cut(_LONG)}",
+        ),
+        (
+            ("divisors", "--matrix"),
+            {"rows": _LONG, "entries": [[1]]},
+            f"matrix sizes must be exact integers, got {_cut(_LONG)}",
+        ),
+    ],
+    ids=["cartan-of-true", "matrix-string-entry", "matrix-string-size"],
+)
+def test_refusals_echo_a_bounded_prefix_of_the_value(tmp_path, capsys, argv, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+    assert json.loads(err)["error"]["message"] == message
+
+
+_LONG_LIST = list(range(100))
+
+
+@pytest.mark.parametrize(
+    "orbits, span, message",
+    [
+        ([_LONG_LIST], _N2_SPAN, f"orbit entry must be an object, got {_cut(_LONG_LIST)}"),
+        (
+            [{"id": _LONG_LIST}],
+            _N2_SPAN,
+            f"orbit 'id' must be a nonempty string, got {_cut(_LONG_LIST)}",
+        ),
+        (
+            [{"id": "a", "open": _LONG}],
+            _N2_SPAN,
+            f"orbit 'open' must be true or false, got {_cut(_LONG)}",
+        ),
+        (
+            [{"id": "a", "dim": _LONG}],
+            _N2_SPAN,
+            f"orbit 'dim' must be an integer, got {_cut(_LONG)}",
+        ),
+        (_ABC, _LONG_LIST, f"span entry must be an object, got {_cut(_LONG_LIST)}"),
+        (
+            _ABC,
+            {"open": _LONG_LIST},
+            f"span entry needs 'root' and 'type': {_cut({'open': _LONG_LIST})}",
+        ),
+        (_ABC, dict(_N2_SPAN, type=_LONG), f"unknown edge type {_cut(_LONG)}"),
+        (_ABC, dict(_N2_SPAN, root=_LONG), f"span 'root' must be an integer, got {_cut(_LONG)}"),
+        (
+            _ABC,
+            dict(_N2_SPAN, lower=_LONG_LIST),
+            f"span 'lower' must be a list of orbit names, got {_cut(_LONG_LIST)}",
+        ),
+    ],
+    ids=["orbit-entry", "orbit-id", "orbit-flag", "orbit-dim", "span-entry", "span-keys",
+         "span-type", "span-root", "span-names"],
+)
+def test_table_refusals_echo_a_bounded_prefix(capsys, monkeypatch, orbits, span, message):
+    table = _table_json(orbits, span)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(table)))
+    code, out, err = run_cli(capsys, "braid-check", "--table", "-")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["message"] == message
+
+
 @pytest.mark.parametrize(
     "cartan, message",
     [

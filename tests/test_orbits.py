@@ -420,6 +420,16 @@ def test_json_validation_errors():
         ReflectionTable.from_json(bad)
 
 
+@pytest.mark.parametrize("value", ["Q", 5, None, [1], {"a": 1}], ids=repr)
+def test_json_refuses_every_other_edge_type_value(value):
+    # Unhashable values are refused as unknown too, not with a TypeError.
+    bad = sign_flip_table(A2).to_json()
+    bad["spans"][0]["type"] = value
+    with pytest.raises(ValueError) as raised:
+        ReflectionTable.from_json(bad)
+    assert str(raised.value) == f"unknown edge type {value!r}"
+
+
 def test_dot_output_is_deterministic_and_complete():
     table = rank_one_table(EdgeType.N2, ["O", "O'"], ["O0"])
     dot = table.to_dot()

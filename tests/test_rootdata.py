@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from borelorbits import CartanSpec, IntegerMatrix, SphericalDatum, rootdata
+from borelorbits import CartanSpec, IntegerMatrix, SphericalDatum, _as_int, rootdata
 
 
 def test_classical_cartan_matrices():
@@ -231,6 +233,66 @@ def test_cartan_entries_must_be_exact_integers(rows, shown):
 def test_spherical_root_entries_must_be_exact_integers(entry):
     with pytest.raises(ValueError, match="spherical root entries must be exact integers"):
         SphericalDatum(CartanSpec.from_label("A2"), ((entry, 0),), IntegerMatrix.identity(2))
+
+
+class _Int(int):
+    """An int subclass: accepted as an entry, as by ``_as_int``."""
+
+
+# Each entry is kept, or given as an int subclass, a bool, a float, a string,
+# None or a string longer than a refusal echoes.
+_DISGUISES = [
+    lambda x: x,
+    _Int,
+    bool,
+    float,
+    str,
+    lambda x: None,
+    lambda x: str(x) * 100,
+]
+
+
+@st.composite
+def _disguised(draw, rows):
+    """``rows``, each entry kept or disguised, as tuple or list rows."""
+    pick = st.sampled_from(_DISGUISES)
+    out = [[draw(pick)(x) if draw(st.booleans()) else x for x in row] for row in rows]
+    return out if draw(st.booleans()) else tuple(map(tuple, out))
+
+
+def _entry_loop(rows, what):
+    """The refusal of a per-entry ``_as_int`` loop over ``rows``, or None."""
+    return _refusal(lambda: [_as_int(x, what) for row in rows for x in row])
+
+
+def _refusal(make):
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rank=st.integers(1, 4))
+def test_constructors_check_entries_as_a_per_entry_loop_does(data, rank):
+    cartan = CartanSpec.from_label(f"A{rank}")
+    identity = IntegerMatrix.identity(rank)
+    rows = data.draw(_disguised(identity.entries), label="matrix")
+    expected = _entry_loop(rows, "matrix entries")
+    assert _refusal(lambda: IntegerMatrix(rows)) == expected
+    assert _refusal(lambda: IntegerMatrix.from_rows(rows)) == expected
+    rows = data.draw(_disguised(cartan.matrix), label="cartan")
+    assert _refusal(lambda: CartanSpec(rows)) == _entry_loop(rows, "Cartan entries")
+    rows = data.draw(_disguised(identity.entries), label="roots")
+    expected = _entry_loop(rows, "spherical root entries")
+    assert _refusal(lambda: SphericalDatum(cartan, rows, identity)) == expected
+
+
+def test_a_bad_matrix_entry_is_named_before_a_ragged_row():
+    for rows in (((1,), (1, "a")), ((1, "a"), (1,))):
+        with pytest.raises(ValueError, match="matrix entries must be exact integers, got 'a'"):
+            IntegerMatrix(rows)
 
 
 def test_cartan_json_round_trip():
