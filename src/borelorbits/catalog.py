@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import EXAMPLE_NAMES, _Record
+from . import EXAMPLE_NAMES, _Record, _shown
 from .lattice import IntegerMatrix, count_open_real_orbits, elementary_divisors
 from .orbits import EdgeType, Orbit, ReflectionTable, Span, _name_runs, check_orbit_count
 from .rootdata import CartanSpec, SphericalDatum
@@ -61,7 +61,7 @@ def canonical_example_name(name: str) -> str:
     key = _ALIASES.get(key, key)
     if key not in EXAMPLE_NAMES:
         raise ValueError(
-            f"unknown example {name!r}; expected one of {', '.join(EXAMPLE_NAMES)}"
+            f"unknown example {_shown(name)}; expected one of {', '.join(EXAMPLE_NAMES)}"
         )
     return key
 

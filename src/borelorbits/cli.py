@@ -22,7 +22,7 @@ from itertools import islice
 
 # Submodule attributes are read inside the commands: each command runs only
 # the modules it uses, and a function replaced on a module is the one called.
-from . import EXAMPLE_NAMES, catalog, lattice, orbits, patterns, rootdata
+from . import EXAMPLE_NAMES, _shown, catalog, lattice, orbits, patterns, rootdata
 
 _LABEL_RE = re.compile(r"^[A-Za-z][0-9]+$")
 
@@ -286,7 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:  # a path may be any length
+            message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        error = {"error": {"type": type(exc).__name__, "message": message}}
         print(json.dumps(error, ensure_ascii=False), file=sys.stderr)
         return 1
 

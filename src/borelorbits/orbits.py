@@ -177,7 +177,7 @@ class BraidReport(_Record):
         return {"holds": self.holds, "pairs": pairs}
 
 
-# Routines over orbit names, a domain mask and reflections; tables and pattern moves share them.
+# Routines over orbit names, a domain mask and reflections, read by the queries of _Moves.
 def generator_perms(reflections: dict, generators: Iterable[int] | None, rank: int):
     """The sorted distinct generators (None: every root) and their reflections."""
     gens = sorted(reflections if generators is None else set(generators))
@@ -193,8 +193,8 @@ def check_invariant(names, domain: bytes, gens: Sequence[int], perms) -> None:
         for k in compress(range(len(domain)), domain):
             if not domain[perm[k]]:
                 raise ValueError(
-                    f"restriction is not invariant: s_{g} moves {names[k]!r} to "
-                    f"{names[perm[k]]!r} outside the subset"
+                    f"restriction is not invariant: s_{g} moves {_shown(names[k])} to "
+                    f"{_shown(names[perm[k]])} outside the subset"
                 )
 
 
@@ -222,7 +222,7 @@ def resolve_domain(names: Sequence[str], restrict_to, gens: Sequence[int], perms
         else:
             domain[k] = 1
     if unknown:
-        raise ValueError(f"unknown orbit {min(unknown)!r} in restriction")
+        raise ValueError(f"unknown orbit {_shown(min(unknown))} in restriction")
     if domain.count(1) < count:
         check_invariant(names, domain, gens, perms)
     return domain
@@ -268,6 +268,51 @@ def orbit_classes(names, domain: bytes, perms) -> tuple[tuple[str, ...], ...]:
         block.sort()
         classes.append(tuple(map(names.__getitem__, block)))
     return tuple(classes)
+
+
+class _Moves:
+    """The queries of an orbit source from its ``_names``, ``_reflections`` and ``cartan`` alone.
+
+    The base of :class:`ReflectionTable` and of the pattern sources ``PatternMoves`` and
+    ``OpenPatterns``.  ``_domain(names, gens, perms)`` makes a domain argument a mask or
+    refuses it, by :func:`resolve_domain` unless a source narrows it.
+    """
+
+    def _domain(self, names, gens, perms) -> bytearray:
+        return resolve_domain(self._names, names, gens, perms)
+
+    def check_braid(
+        self, restrict_to: Iterable[str] | None = None, generators: Iterable[int] | None = None
+    ) -> BraidReport:
+        """Verify (s_i s_j)^{m_ij} = id for every unordered generator pair.
+
+        With ``restrict_to`` the check runs on that orbit subset, which must
+        be invariant under every generator.  ``generators`` defaults to all
+        simple roots.
+
+        The composite p = s_i s_j (apply s_j, then s_i) is applied m_ij times
+        to the support of the pair, the points s_i or s_j moves: p fixes every
+        other point, so the relation holds iff p^m fixes the support.  Each
+        pair costs m_ij passes over |supp s_i| + |supp s_j| points, not over
+        the orbit count.  On failure the witness is the lexicographically
+        least orbit moved by (s_i s_j)^{m_ij}.
+        """
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
+        domain = self._domain(restrict_to, gens, perms)
+        return braid_report(self._names, domain, self.cartan, gens, perms)
+
+    def subgroup_orbits(
+        self, generators: Iterable[int] | None, domain: Iterable[str] | None = None
+    ) -> tuple[tuple[str, ...], ...]:
+        """Orbits of the subgroup generated by the given reflections on ``domain`` (None: all).
+
+        ``generators`` None means every simple root.  Connected components of
+        the graph whose edges are the generator moves, computed by
+        breadth-first closure; the result does not depend on the order of the
+        input.
+        """
+        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
+        return orbit_classes(self._names, self._domain(domain, gens, perms), perms)
 
 
 class TypeCensus(_Record):
@@ -371,7 +416,7 @@ def _name_runs(orbits: Iterable, spans: Iterable, rank: int):
     return orbit_columns, by_root, tuple(index), in_order
 
 
-class ReflectionTable:
+class ReflectionTable(_Moves):
     """Immutable orbit set with a span decomposition per simple root.
 
     Orbit k is the k-th name in sorted order.  The constructor maps the names
@@ -423,13 +468,14 @@ class ReflectionTable:
         if not len(names) == len(opens) == len(max_rank) == len(names if dims is None else dims):
             raise ValueError("orbit columns must have one entry per orbit name")
         for k in compress(count(1), map(ge, names, islice(names, 1, None))):
-            order = f"orbits must be in name order, got {names[k]!r} after {names[k - 1]!r}"
+            after = f"{_shown(names[k])} after {_shown(names[k - 1])}"
+            order = f"orbits must be in name order, got {after}"
             raise ValueError("orbit names must be unique" if names[k - 1] == names[k] else order)
         if not all(names):
             raise ValueError("orbit name must be nonempty")
         self._names, self._open, self._max_rank = names, opens, max_rank
         for name in compress(names, map(gt, opens, max_rank)):
-            raise ValueError(f"open orbit {name!r} must be of maximal rank")
+            raise ValueError(f"open orbit {_shown(name)} must be of maximal rank")
         self._dims = None if dims is None or dims.count(None) == len(dims) else dims
 
     def _assemble(self, cartan: CartanSpec, columns, in_order, labels: Sequence[str]) -> None:
@@ -468,18 +514,19 @@ class ReflectionTable:
             opens = len(oo)
             ks = sorted(oo, key=label) + sorted(lo, key=label)
             if len(set(ks)) != len(ks):
-                return ValueError(f"span members must be distinct, got {tuple(map(label, ks))}")
+                members = ", ".join(map(_shown, map(label, ks)))
+                return ValueError(f"span members must be distinct, got ({members})")
             if (opens, len(lo)) != _SLOTS[edge][:2]:
                 return ValueError(f"span of type {edge.value} at root {root} has wrong slot counts")
             for slot, k in enumerate(ks):
                 name = label(k)
                 if not 0 <= k < count:
-                    return ValueError(f"span at root {root} names unknown orbit {name!r}")
+                    return ValueError(f"span at root {root} names unknown orbit {_shown(name)}")
                 if held[k]:
-                    return ValueError(f"orbit {name!r} appears in two spans at root {root}")
+                    return ValueError(f"orbit {_shown(name)} appears in two spans at root {root}")
                 if slot >= opens and is_open[k]:
                     return ValueError(
-                        f"globally open orbit {name!r} sits in a lower slot at root {root}"
+                        f"globally open orbit {_shown(name)} sits in a lower slot at root {root}"
                     )
                 held[k] = 1
             if edge is EdgeType.U and dims is not None:
@@ -490,7 +537,8 @@ class ReflectionTable:
                         "must be one dimension below the open one"
                     )
         missing = [name for name, covered in zip(self._names, held) if not covered]
-        shown = f"{missing[:10]} (10 of {len(missing)})" if len(missing) > 10 else missing
+        shown = f"[{', '.join(map(_shown, missing[:10]))}]"
+        shown += f" (10 of {len(missing)})" if len(missing) > 10 else ""
         return ValueError(f"orbits not covered by any span at root {root}: {shown}")
 
     def _spans_at(self, root: int, heads: Iterable[int]):
@@ -541,7 +589,7 @@ class ReflectionTable:
 
     def span_of(self, name: str, root: int) -> Span:
         if (k := position(self._names, name)) < 0 or root not in self._kinds:
-            raise ValueError(f"no span for orbit {name!r} at root {root}")
+            raise ValueError(f"no span for orbit {_shown(name)} at root {root}")
         kind, link = self._kinds[root], self._links[root]
         while kind[k] & 3:  # on to slot 0, the first open orbit
             k = link[k]
@@ -552,42 +600,10 @@ class ReflectionTable:
         (perm,) = generator_perms(self._reflections, (root,), self.cartan.rank)[1]
         return dict(zip(self._names, map(self._names.__getitem__, perm)))
 
-    # -- braid relations ---------------------------------------------------
+    # -- braid relations and orbit enumeration --------------------------------
 
-    def check_braid(
-        self, restrict_to: Iterable[str] | None = None, generators: Iterable[int] | None = None
-    ) -> BraidReport:
-        """Verify (s_i s_j)^{m_ij} = id for every unordered generator pair.
-
-        With ``restrict_to`` the check runs on that orbit subset, which must
-        be invariant under every generator.  ``generators`` defaults to all
-        simple roots.
-
-        The composite p = s_i s_j (apply s_j, then s_i) is applied m_ij times
-        to the support of the pair, the points s_i or s_j moves: p fixes every
-        other point, so the relation holds iff p^m fixes the support.  Each
-        pair costs m_ij passes over |supp s_i| + |supp s_j| points, not over
-        the orbit count.  On failure the witness is the lexicographically
-        least orbit moved by (s_i s_j)^{m_ij}.
-        """
-        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        domain = resolve_domain(self._names, restrict_to, gens, perms)
-        return braid_report(self._names, domain, self.cartan, gens, perms)
-
-    # -- orbit enumeration ---------------------------------------------------
-
-    def subgroup_orbits(
-        self, generators: Iterable[int] | None, domain: Iterable[str] | None = None
-    ) -> tuple[tuple[str, ...], ...]:
-        """Orbits of the subgroup generated by the given reflections on ``domain`` (None: all).
-
-        ``generators`` None means every simple root.  Connected components of
-        the graph whose edges are the generator moves, computed by
-        breadth-first closure; the result does not depend on the order of the
-        input.
-        """
-        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        return orbit_classes(self._names, resolve_domain(self._names, domain, gens, perms), perms)
+    # bench/tracing.py wraps these methods as read from the class's own __dict__.
+    check_braid, subgroup_orbits = _Moves.check_braid, _Moves.subgroup_orbits
 
     def real_group_orbit_classes(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the open orbits into real-group orbits.
@@ -603,9 +619,10 @@ class ReflectionTable:
             kind = self._kinds[root]
             for k in compress(range(len(opens)), opens):
                 if kind[k] >> 2 in _MOVES_OPENS and not opens[perm[k]]:
+                    span = self.span_of(self._names[k], root).open_orbits
                     raise ValueError(
                         f"T/N reflection s_{root} maps open orbit to non-open "
-                        f"within span {self.span_of(self._names[k], root).open_orbits}; "
+                        f"within span ({', '.join(map(_shown, span))}); "
                         "table is inconsistent"
                     )
         # A U-span carries an open orbit to a lower one, so the moves that

@@ -38,7 +38,9 @@ entries in each: ``sylvester``, ``braid-check --example quadratic
 or with ``--domain open``.  ``braid-check`` and ``orbits --generators`` on
 all orbits read :class:`PatternMoves`, each root's transposition of every
 pattern's record.  Either way a root's reflection is its adjacent
-transposition, as in the table.  ``patterns`` prints the enumeration.
+transposition, as in the table, and ``check_braid`` and ``subgroup_orbits``
+are the table's own, from their base in ``orbits``.  ``patterns`` prints
+the enumeration.
 
 Which member of a U-pair is open is decided by the ranks of the upper-left
 corner submatrices of the form (:meth:`SignedPattern.corner_rank`), the
@@ -62,14 +64,7 @@ from operator import itemgetter
 
 from . import _Record
 from .orbits import (
-    EdgeType,
-    ReflectionTable,
-    braid_report,
-    check_invariant,
-    check_orbit_count,
-    generator_perms,
-    orbit_classes,
-    resolve_domain,
+    EdgeType, ReflectionTable, _Moves, check_invariant, check_orbit_count, orbit_classes
 )
 from .rootdata import CartanSpec, check_rank
 
@@ -469,26 +464,6 @@ class SylvesterClass(_Record):
     """One real-group orbit of open patterns, labelled by inertia indices."""
 
     __slots__ = ("plus", "minus", "orbits")
-
-
-class _Moves:
-    """``check_braid`` and ``subgroup_orbits`` over ``_names``, ``_reflections`` and ``cartan``.
-
-    They answer as a table's do, from its reflections alone.  ``_domain(names, gens, perms)``
-    makes a domain argument a mask or refuses it as a table does, unless a subclass narrows it.
-    """
-
-    def _domain(self, names, gens, perms) -> bytearray:
-        return resolve_domain(self._names, names, gens, perms)
-
-    def check_braid(self, restrict_to=None, generators=None):
-        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        domain = self._domain(restrict_to, gens, perms)
-        return braid_report(self._names, domain, self.cartan, gens, perms)
-
-    def subgroup_orbits(self, generators, domain=None) -> tuple[tuple[str, ...], ...]:
-        gens, perms = generator_perms(self._reflections, generators, self.cartan.rank)
-        return orbit_classes(self._names, self._domain(domain, gens, perms), perms)
 
 
 class PatternMoves(_Moves):

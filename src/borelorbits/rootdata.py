@@ -82,7 +82,7 @@ def _build_cartan(letter: str, rank: int) -> list[list[int]]:
             raise ValueError("type G needs rank 2")
         # alpha_1 short, alpha_2 long
         return [[2, -3], [-1, 2]]
-    raise ValueError(f"unsupported root-system type {letter!r} (expected A, B, C, D or G)")
+    raise ValueError(f"unsupported root-system type {_shown(letter)} (expected A, B, C, D or G)")
 
 
 def _validate_cartan(a: tuple[tuple[int, ...], ...]) -> None:
@@ -131,7 +131,8 @@ class CartanSpec(_Record):
         """Parse a compact label such as ``"B4"`` or ``"G2"``."""
         label = label.strip()
         if len(label) < 2 or not label[1:].isdigit():
-            raise ValueError(f"cannot parse Cartan label {label!r} (expected e.g. 'A2', 'B4')")
+            expected = "(expected e.g. 'A2', 'B4')"
+            raise ValueError(f"cannot parse Cartan label {_shown(label)} {expected}")
         return cls.from_type(label[0], int(label[1:]))
 
     @classmethod

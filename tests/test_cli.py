@@ -425,7 +425,7 @@ def _table_json(orbits, span):
     return {
         "orbits": orbits,
         "cartan": {"type": "A", "rank": 1},
-        "spans": [span],
+        "spans": list(span) if isinstance(span, tuple) else [span],  # a tuple holds several
     }
 
 
@@ -494,8 +494,20 @@ _TRUES = [[True] * 150] * 150
             {"rows": _LONG, "entries": [[1]]},
             f"matrix sizes must be exact integers, got {_cut(_LONG)}",
         ),
+        (
+            ("braid-check", "--example", "torus", "--cartan"),
+            {"type": _LONG, "rank": 2},
+            f"unsupported root-system type {_cut(_LONG.upper())} (expected A, B, C, D or G)",
+        ),
+        (
+            # The example name is refused before the Cartan file is read.
+            ("braid-check", "--example", _LONG, "--cartan"),
+            {"type": "A", "rank": 2},
+            f"unknown example {_cut(_LONG)}; expected one of {', '.join(catalog.EXAMPLE_NAMES)}",
+        ),
     ],
-    ids=["cartan-of-true", "matrix-string-entry", "matrix-string-size"],
+    ids=["cartan-of-true", "matrix-string-entry", "matrix-string-size", "cartan-type",
+         "example-name"],
 )
 def test_refusals_echo_a_bounded_prefix_of_the_value(tmp_path, capsys, argv, obj, message):
     path = tmp_path / "input.json"
@@ -541,9 +553,43 @@ _LONG_LIST = list(range(100))
             dict(_N2_SPAN, lower=_LONG_LIST),
             f"span 'lower' must be a list of orbit names, got {_cut(_LONG_LIST)}",
         ),
+        (
+            [*_ABC, {"id": _LONG, "open": True}],
+            _N2_SPAN,
+            f"open orbit {_cut(_LONG)} must be of maximal rank",
+        ),
+        (
+            _ABC,
+            dict(_N2_SPAN, lower=[_LONG]),
+            f"span at root 1 names unknown orbit {_cut(_LONG)}",
+        ),
+        (
+            [*_ABC, {"id": _LONG}],
+            dict(_N2_SPAN, open=[_LONG, _LONG]),
+            f"span members must be distinct, got ({_cut(_LONG)}, {_cut(_LONG)}, 'c')",
+        ),
+        (
+            [*_ABC, {"id": _LONG}],
+            (
+                {"root": 1, "type": "P", "open": [_LONG]},
+                {"root": 1, "type": "U", "open": ["a"], "lower": [_LONG]},
+            ),
+            f"orbit {_cut(_LONG)} appears in two spans at root 1",
+        ),
+        (
+            [*_ABC, {"id": _LONG, "open": True, "max_rank": True}],
+            dict(_N2_SPAN, lower=[_LONG]),
+            f"globally open orbit {_cut(_LONG)} sits in a lower slot at root 1",
+        ),
+        (
+            [*_ABC, {"id": _LONG}],
+            _N2_SPAN,
+            f"orbits not covered by any span at root 1: [{_cut(_LONG)}]",
+        ),
     ],
     ids=["orbit-entry", "orbit-id", "orbit-flag", "orbit-dim", "span-entry", "span-keys",
-         "span-type", "span-root", "span-names"],
+         "span-type", "span-root", "span-names", "open-not-max-rank", "unknown-orbit",
+         "distinct-members", "two-spans", "lower-slot", "not-covered"],
 )
 def test_table_refusals_echo_a_bounded_prefix(capsys, monkeypatch, orbits, span, message):
     table = _table_json(orbits, span)
@@ -551,6 +597,21 @@ def test_table_refusals_echo_a_bounded_prefix(capsys, monkeypatch, orbits, span,
     code, out, err = run_cli(capsys, "braid-check", "--table", "-")
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["message"] == message
+
+
+def test_a_path_that_cannot_be_opened_is_echoed_cut(capsys, monkeypatch, tmp_path):
+    # The OS bounds no echo: a path of 100,000 characters is named in 60 and "...".
+    monkeypatch.chdir(tmp_path)
+    for path in ("missing-cartan.json", "Q" + _LONG):
+        with pytest.raises(OSError) as opened:
+            open(path, encoding="utf-8")
+        exc = opened.value
+        cut = f"[Errno {exc.errno}] {exc.strerror}: {_cut(path)}"
+        expected = str(exc) if len(path) <= 60 else cut
+        code, out, err = run_cli(capsys, "braid-check", "--example", "torus", "--cartan", path)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert json.loads(err)["error"] == {"type": type(exc).__name__, "message": expected}
 
 
 @pytest.mark.parametrize(

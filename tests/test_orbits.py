@@ -17,6 +17,7 @@ from borelorbits import (
     build_table,
 )
 from borelorbits import orbits as orbits_module
+from borelorbits.patterns import OpenPatterns, PatternMoves
 
 A1 = CartanSpec.from_label("A1")
 D2 = CartanSpec.from_label("D2")
@@ -206,6 +207,68 @@ def test_real_group_orbit_classes_detects_inconsistency():
     table = ReflectionTable(orbits=orbits, cartan=A1, spans=spans)
     with pytest.raises(ValueError, match="inconsistent"):
         table.real_group_orbit_classes()
+
+
+def test_every_source_answers_through_one_path():
+    # One body each for the table and both pattern sources.
+    for method in ("check_braid", "subgroup_orbits"):
+        shared = getattr(orbits_module._Moves, method)
+        assert getattr(ReflectionTable, method) is shared
+        assert getattr(PatternMoves, method) is shared
+        assert getattr(OpenPatterns, method) is shared
+    # bench/tracing.py wraps the table's methods as read from ReflectionTable.__dict__.
+    for method in ("check_braid", "subgroup_orbits", "real_group_orbit_classes"):
+        assert method in ReflectionTable.__dict__
+
+
+_LONG = "x" * 100_000
+_CUT = repr(_LONG)[:60] + "..."  # every long name below is shown as this
+
+
+def _long_names_table():
+    # s_1 swaps the open orbit and a non-open one in the open slots of an N2 span.
+    a, b, c = _LONG + "a", _LONG + "b", _LONG + "c"
+    orbits = [Orbit(a, True, True), Orbit(b), Orbit(c)]
+    return ReflectionTable(orbits, A1, [Span(1, EdgeType.N2, (a, b), (c,))])
+
+
+_TABLE, _MOVES = _long_names_table(), PatternMoves(3, 2)
+_UNKNOWN = f"unknown orbit {_CUT} in restriction"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _TABLE.check_braid(restrict_to=[_LONG]), _UNKNOWN),
+        (lambda: _TABLE.subgroup_orbits([1], [_LONG]), _UNKNOWN),
+        (lambda: _MOVES.check_braid(restrict_to=[_LONG]), _UNKNOWN),
+        (lambda: _MOVES.subgroup_orbits([1], [_LONG]), _UNKNOWN),
+        (
+            lambda: _TABLE.check_braid(restrict_to=[_LONG + "a"]),
+            f"restriction is not invariant: s_1 moves {_CUT} to {_CUT} outside the subset",
+        ),
+        (
+            lambda: _TABLE.real_group_orbit_classes(),
+            f"T/N reflection s_1 maps open orbit to non-open within span ({_CUT}, {_CUT}); "
+            "table is inconsistent",
+        ),
+        (lambda: _TABLE.span_of(_LONG, 1), f"no span for orbit {_CUT} at root 1"),
+        (
+            lambda: ReflectionTable.from_columns(A1, {}, [_LONG + "b", _LONG], b"\0\0", b"\0\0"),
+            f"orbits must be in name order, got {_CUT} after {_CUT}",
+        ),
+        (
+            lambda: CartanSpec.from_label("A" + _LONG),
+            f"cannot parse Cartan label {repr('A' + _LONG)[:60]}... (expected e.g. 'A2', 'B4')",
+        ),
+    ],
+    ids=["table-braid", "table-subgroup", "moves-braid", "moves-subgroup", "not-invariant",
+         "inconsistent", "span-of", "name-order", "cartan-label"],
+)
+def test_queries_refuse_long_names_with_a_bounded_echo(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message and len(message.encode()) < 1024
 
 
 def test_type_census_flags_t2_on_max_rank():
