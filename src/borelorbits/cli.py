@@ -6,10 +6,10 @@ quadratic-form model, ``braid-check`` and ``orbits`` for reflection tables,
 and ``example`` to emit a catalog table as JSON or Graphviz DOT.
 
 Output is deterministic: no timestamps, no environment-dependent ordering,
-no color.  Validation failures exit with status 1 and a machine-readable
-JSON error object on stderr; ``braid-check --strict`` exits with status 2
-when a braid relation fails.  JSON payloads may be read from stdin via
-``-``.
+no color.  Validation failures, usage errors included, exit with status 1
+and one machine-readable JSON error line on stderr.  Status 2 means only
+that a braid relation failed under ``braid-check --strict``.  JSON payloads
+may be read from stdin via ``-``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,17 @@ from itertools import islice
 from . import EXAMPLE_NAMES, _shown, catalog, lattice, orbits, patterns, rootdata
 
 _LABEL_RE = re.compile(r"^[A-Za-z][0-9]+$")
+# A usage error longer than this is cut: its JSON line stays under 1 KB even
+# when every character is escaped as \uXXXX.
+_USAGE_BOUND = 150
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error as a ValueError, which :func:`main` prints as any refusal."""
+
+    def error(self, message: str):
+        cut = message if len(message) <= _USAGE_BOUND else message[:_USAGE_BOUND] + "..."
+        raise ValueError(cut)
 
 
 def _read_json(path: str):
@@ -37,7 +48,7 @@ def _read_json(path: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # Nesting deeper than the interpreter's recursion limit is unreadable too.
-        raise ValueError(f"invalid JSON in {path!r}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {_shown(path)}: {exc}") from exc
 
 
 def _parse_cartan(text: str) -> rootdata.CartanSpec:
@@ -57,9 +68,7 @@ def _parse_int_list(text: str) -> list[int]:
     except ValueError:
         values = []
     if not values:
-        # The echo is cut short: the text may be any length.
-        shown = text if len(text) <= 60 else text[:60] + "..."
-        raise ValueError(f"expected a comma-separated integer list, got {shown!r}")
+        raise ValueError(f"expected a comma-separated integer list, got {_shown(text)}")
     return values
 
 
@@ -233,7 +242,7 @@ def _cmd_example(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="borelorbits",
         description="Combinatorics of real Borel orbits: divisors, sign patterns, "
         "reflection operators and braid checks.",
@@ -281,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         message = str(exc)

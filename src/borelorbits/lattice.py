@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from . import _Record, _as_int, _check_int_rows
+from . import _Record, _as_int, _check_int_rows, _shown
 
 
 MAX_MATRIX_SIDE = 200  # most rows or columns a JSON matrix may have, as rootdata.MAX_RANK
@@ -119,7 +119,8 @@ class IntegerMatrix(_Record):
         for field in ("rows", "cols"):
             if field in obj and _as_int(obj[field], "matrix sizes") != getattr(m, field):
                 raise ValueError(
-                    f"matrix JSON declares {field}={obj[field]} but entries have {getattr(m, field)}"
+                    f"matrix JSON declares {field}={_shown(obj[field])} "
+                    f"but entries have {getattr(m, field)}"
                 )
         return m
 
@@ -138,7 +139,7 @@ class DivisorList(_Record):
                 raise ValueError("divisors must be nonnegative")
         for a, b in zip(self.m, self.m[1:]):
             if (a == 0 and b != 0) or (a != 0 and b % a != 0):
-                raise ValueError(f"divisor chain violated: {a} does not divide {b}")
+                raise ValueError(f"divisor chain violated: {_shown(a)} does not divide {_shown(b)}")
 
     def __iter__(self):
         return iter(self.m)
@@ -377,7 +378,7 @@ def _positive_divisors(m: "DivisorList | Sequence[int]") -> list[int]:
     values = [_as_int(x, "divisors") for x in m]
     for x in values:
         if x < 1:
-            raise ValueError(f"divisors must be >= 1, got {x}")
+            raise ValueError(f"divisors must be >= 1, got {_shown(x)}")
     return values
 
 

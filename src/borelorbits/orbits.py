@@ -104,9 +104,15 @@ _EDGE_TYPES = {edge.value: edge for edge in _TYPES}  # the table JSON's type val
 MAX_ORBITS = 500_000
 
 
-def check_orbit_count(count: int, what: str) -> None:
+def _first_ten(names: Sequence[str], brackets: str) -> str:
+    """Up to 10 ``names`` cut by ``_shown`` within ``brackets``, then "(10 of N)" past 10."""
+    shown = f"{brackets[0]}{', '.join(map(_shown, names[:10]))}{brackets[1]}"
+    return shown + (f" (10 of {len(names)})" if len(names) > 10 else "")
+
+
+def check_orbit_count(count: int, what: str, unit: str = "orbits") -> None:
     if count > MAX_ORBITS:
-        raise ValueError(f"{what}: {count} orbits is over the orbit limit {MAX_ORBITS}")
+        raise ValueError(f"{what}: {count} {unit} is over the orbit limit {MAX_ORBITS}")
 
 
 class Orbit(NamedTuple):
@@ -183,7 +189,7 @@ def generator_perms(reflections: dict, generators: Iterable[int] | None, rank: i
     gens = sorted(reflections if generators is None else set(generators))
     for g in gens:
         if g not in reflections:
-            raise ValueError(f"root index {g} out of range 1..{rank}")
+            raise ValueError(f"root index {_shown(g)} out of range 1..{rank}")
     return gens, [reflections[g] for g in gens]
 
 
@@ -487,7 +493,7 @@ class ReflectionTable(_Moves):
         """
         for root in columns:
             if root not in range(1, cartan.rank + 1):
-                raise ValueError(f"span root {root} out of range 1..{cartan.rank}")
+                raise ValueError(f"span root {_shown(root)} out of range 1..{cartan.rank}")
         identity, is_open, dims = list(range(len(self._names))), self._open, self._dims
         self._reflections, self._links, self._kinds = {}, {}, {}
         for root in range(1, cartan.rank + 1):
@@ -514,8 +520,8 @@ class ReflectionTable(_Moves):
             opens = len(oo)
             ks = sorted(oo, key=label) + sorted(lo, key=label)
             if len(set(ks)) != len(ks):
-                members = ", ".join(map(_shown, map(label, ks)))
-                return ValueError(f"span members must be distinct, got ({members})")
+                members = _first_ten([*map(label, ks)], "()")
+                return ValueError(f"span members must be distinct, got {members}")
             if (opens, len(lo)) != _SLOTS[edge][:2]:
                 return ValueError(f"span of type {edge.value} at root {root} has wrong slot counts")
             for slot, k in enumerate(ks):
@@ -533,12 +539,11 @@ class ReflectionTable(_Moves):
                 a, b = dims[ks[0]], dims[ks[1]]
                 if a is not None and b is not None and a != b + 1:
                     return ValueError(
-                        f"U-span at root {root} pairs dim {a} with dim {b}; lower orbit "
-                        "must be one dimension below the open one"
+                        f"U-span at root {root} pairs dim {_shown(a)} with dim {_shown(b)}; "
+                        "lower orbit must be one dimension below the open one"
                     )
         missing = [name for name, covered in zip(self._names, held) if not covered]
-        shown = f"[{', '.join(map(_shown, missing[:10]))}]"
-        shown += f" (10 of {len(missing)})" if len(missing) > 10 else ""
+        shown = _first_ten(missing, "[]")
         return ValueError(f"orbits not covered by any span at root {root}: {shown}")
 
     def _spans_at(self, root: int, heads: Iterable[int]):
@@ -583,7 +588,7 @@ class ReflectionTable(_Moves):
 
     def orbit(self, name: str) -> Orbit:
         if (k := position(self._names, name)) < 0:
-            raise KeyError(name)
+            raise KeyError(f"unknown orbit {_shown(name)}")
         dim = self._dims[k] if self._dims else None
         return Orbit(self._names[k], bool(self._open[k]), bool(self._max_rank[k]), dim)
 

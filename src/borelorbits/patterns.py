@@ -40,7 +40,8 @@ all orbits read :class:`PatternMoves`, each root's transposition of every
 pattern's record.  Either way a root's reflection is its adjacent
 transposition, as in the table, and ``check_braid`` and ``subgroup_orbits``
 are the table's own, from their base in ``orbits``.  ``patterns`` prints
-the enumeration.
+the enumeration, :func:`pattern_texts`, in name order, the order in which
+every table indexes its orbits: text k is orbit k.
 
 Which member of a U-pair is open is decided by the ranks of the upper-left
 corner submatrices of the form (:meth:`SignedPattern.corner_rank`), the
@@ -62,7 +63,7 @@ from array import array
 from itertools import chain, compress, count
 from operator import itemgetter
 
-from . import _Record
+from . import _Record, _shown
 from .orbits import (
     EdgeType, ReflectionTable, _Moves, check_invariant, check_orbit_count, orbit_classes
 )
@@ -73,8 +74,7 @@ PLUS = "+"
 MINUS = "-"
 DOT = "•"
 
-_ENTRY_ORDER = {ZERO: 0, PLUS: 1, MINUS: 2, DOT: 3}
-_SORT_TR = str.maketrans(ZERO + PLUS + MINUS + DOT, "0123")
+_ENTRIES = (ZERO, PLUS, MINUS, DOT)
 _SIGNS = (PLUS, MINUS)
 
 
@@ -115,8 +115,8 @@ class SignedPattern(_Record):
 
     def __post_init__(self) -> None:
         for e in self.entries:
-            if e not in _ENTRY_ORDER:
-                raise ValueError(f"invalid pattern entry {e!r}")
+            if e not in _ENTRIES:
+                raise ValueError(f"invalid pattern entry {_shown(e)}")
         n = len(self.entries)
         arcs = tuple(sorted((min(j, k), max(j, k)) for j, k in self.arcs))
         object.__setattr__(self, "arcs", arcs)
@@ -126,7 +126,7 @@ class SignedPattern(_Record):
                 raise ValueError("arc endpoints must differ")
             for p in (j, k):
                 if not 1 <= p <= n:
-                    raise ValueError(f"arc endpoint {p} out of range 1..{n}")
+                    raise ValueError(f"arc endpoint {_shown(p)} out of range 1..{n}")
                 if p in used:
                     raise ValueError(f"position {p} lies on two arcs")
                 used.add(p)
@@ -177,17 +177,14 @@ class SignedPattern(_Record):
         if len(parts) == 2:
             rest = parts[1].strip()
             if not (rest.startswith("[") and rest.endswith("]")):
-                raise ValueError(f"malformed arc list {rest!r}")
+                raise ValueError(f"malformed arc list {_shown(rest)}")
             for chunk in rest[1:-1].split("]["):
                 try:
                     j, k = map(int, chunk.split(","))
                 except ValueError:
-                    raise ValueError(f"malformed arc list {rest!r}") from None
+                    raise ValueError(f"malformed arc list {_shown(rest)}") from None
                 arcs.append((j, k))
         return cls(entries=entries, arcs=tuple(arcs))
-
-    def sort_key(self):
-        return "".join(self.entries).translate(_SORT_TR), self.arcs
 
     # -- the symmetric-group action ------------------------------------------
 
@@ -202,7 +199,7 @@ class SignedPattern(_Record):
 
     def _check_position(self, i: int) -> None:
         if not 1 <= i <= self.n - 1:
-            raise ValueError(f"position {i} out of range 1..{self.n - 1}")
+            raise ValueError(f"position {_shown(i)} out of range 1..{self.n - 1}")
 
     # -- orbit comparison via corner ranks -------------------------------------
 
@@ -249,9 +246,9 @@ def pattern_count(n: int, r: int, signed: bool) -> int:
 
 def _check_shape(n: int, r: int) -> None:
     if n < 1:
-        raise ValueError(f"need at least one position, got n={n}")
+        raise ValueError(f"need at least one position, got n={_shown(n)}")
     if not 0 <= r <= n:
-        raise ValueError(f"rank must satisfy 0 <= r <= n, got r={r}, n={n}")
+        raise ValueError(f"rank must satisfy 0 <= r <= n, got r={_shown(r)}, n={_shown(n)}")
 
 
 def _matchings(points: tuple[int, ...]):
@@ -273,10 +270,10 @@ def _refuse_oversized(n: int, r: int, signed: bool) -> None:
 
 
 def _pattern_parts(n: int, r: int, signed: bool):
-    """Text and arcs of every pattern with n positions and rank r, unsorted.
+    """The text of every pattern with n positions and rank r, unsorted.
 
-    The one enumeration, read by :func:`pattern_texts` and the table build;
-    callers refuse an oversized shape first.
+    The one enumeration, which :func:`pattern_texts` sorts; callers refuse an
+    oversized shape first.
     """
     # Complex singles are bare dots: one choice per single position.
     singles_choices = _SIGNS if signed else (DOT,)
@@ -293,23 +290,23 @@ def _pattern_parts(n: int, r: int, signed: bool):
                     # so each arc tuple comes out canonically sorted.
                     form = template + _arc_suffix(arcs)
                     for signs in itertools.product(singles_choices, repeat=r - 2 * arc_count):
-                        yield form % signs, arcs
+                        yield form % signs
 
 
 def pattern_texts(n: int, r: int, signed: bool = True) -> list[str]:
-    """The texts of all patterns with n positions and rank r, in lexicographic order.
+    """The texts of all patterns with n positions and rank r, in name order.
 
-    The order is :meth:`SignedPattern.sort_key`'s; no pattern object is made.
-    A shape is refused before anything is allocated when its table's Cartan
-    rank n - 1 is over the rank limit, or when it has too many patterns.
+    Name order is the texts' sorted order: text k is orbit k of the shape's
+    table.  No pattern object is made.  A shape is refused before anything is
+    allocated when its table's Cartan rank n - 1 is over the rank limit, or
+    when it has too many patterns.
     """
     _refuse_oversized(n, r, signed)
-    parts = sorted(_pattern_parts(n, r, signed), key=lambda p: (p[0][:n].translate(_SORT_TR), p[1]))
-    return [text for text, _ in parts]
+    return sorted(_pattern_parts(n, r, signed))
 
 
 def enumerate_patterns(n: int, r: int, signed: bool = True) -> list[SignedPattern]:
-    """All patterns with n positions and rank r, in lexicographic order.
+    """All patterns with n positions and rank r, in name order.
 
     The checked parse of :func:`pattern_texts`: each text goes through the
     model's own validation, so the enumeration cannot yield an invalid pattern.
@@ -364,12 +361,11 @@ def _partners(n: int, tail: str) -> str:
 
 
 def _records(n: int, r: int, signed: bool):
-    """The sorted names of a shape, their n-byte records end to end, and the record -> index dict.
+    """The names of a shape, their n-byte records end to end, and the record -> index dict.
 
-    The one record encoding of the table build and of :class:`PatternMoves`;
-    callers refuse an oversized shape first.
+    The one record encoding of the table build and of :class:`PatternMoves`.
     """
-    names = tuple(sorted(map(itemgetter(0), _pattern_parts(n, r, signed))))
+    names = tuple(pattern_texts(n, r, signed))
     entries, tails = itemgetter(slice(n)), itemgetter(slice(n, None))
     partners = {tail: _partners(n, tail) for tail in set(map(tails, names))}
     # All entries' codes, ORed as one int with all partners: the records end to end.
@@ -450,13 +446,11 @@ def build_table(n: int, r: int) -> ReflectionTable:
     The induced permutation of every root coincides with the adjacent
     transposition of entries.
     """
-    _refuse_oversized(n, r, signed=True)
     return _build(n, r, signed=True)
 
 
 def build_complex_table(n: int, r: int) -> ReflectionTable:
     """Same construction for unsigned (complex) patterns, with types P/U/N."""
-    _refuse_oversized(n, r, signed=False)
     return _build(n, r, signed=False)
 
 
@@ -475,7 +469,6 @@ class PatternMoves(_Moves):
     """
 
     def __init__(self, n: int, r: int) -> None:
-        _refuse_oversized(n, r, signed=True)
         self._names, blob, index = _records(n, r, signed=True)
         # The images are made while the index lives, as arrays; the lists come after it is freed.
         images = {i: _images(blob, index.__getitem__, n, i) for i in range(1, n)}
@@ -498,11 +491,14 @@ class OpenPatterns(_Moves):
     ``real_group_orbit_classes``.  Pattern k < 2^r is the k-th open pattern in
     name order.  Its image at root i is its text with positions i and i+1
     swapped: itself, the other open pattern, or a lower pattern, which takes
-    the next index when first seen only so that a refusal can name it.
+    the next index when first seen only so that a refusal can name it.  Its size
+    guard counts its own cells, 2^r patterns at n - 1 roots, not the table's patterns.
     """
 
     def __init__(self, n: int, r: int) -> None:
-        _refuse_oversized(n, r, signed=True)
+        _check_shape(n, r)
+        check_rank(n - 1)
+        check_orbit_count(2**r * (n - 1), f"open patterns n={n} r={r}", "cells")
         # Signs on the first r positions, in name order ("+" < "-"), zeros after.
         opens = ["".join(signs) + ZERO * (n - r) for signs in itertools.product(_SIGNS, repeat=r)]
         index = {text: k for k, text in enumerate(opens)}

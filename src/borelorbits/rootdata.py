@@ -31,7 +31,7 @@ MAX_RANK = 200
 
 def check_rank(rank: int) -> None:
     if rank > MAX_RANK:
-        raise ValueError(f"Cartan rank {rank} is over the rank limit {MAX_RANK}")
+        raise ValueError(f"Cartan rank {_shown(rank)} is over the rank limit {MAX_RANK}")
 
 
 def _is_int_rows(value) -> bool:
@@ -92,17 +92,20 @@ def _validate_cartan(a: tuple[tuple[int, ...], ...]) -> None:
             raise ValueError("Cartan matrix must be square")
     for i in range(n):
         if a[i][i] != 2:
-            raise ValueError(f"Cartan matrix needs 2 on the diagonal, got {a[i][i]} at {i + 1}")
+            raise ValueError(
+                f"Cartan matrix needs 2 on the diagonal, got {_shown(a[i][i])} at {i + 1}"
+            )
         for j in range(n):
             if i == j:
                 continue
             if a[i][j] > 0:
-                raise ValueError(f"off-diagonal Cartan entries must be <= 0, got {a[i][j]}")
+                raise ValueError(f"off-diagonal Cartan entries must be <= 0, got {_shown(a[i][j])}")
             if (a[i][j] == 0) != (a[j][i] == 0):
                 raise ValueError(f"Cartan zeros must be symmetric at ({i + 1},{j + 1})")
             if a[i][j] * a[j][i] not in (0, 1, 2, 3):
                 raise ValueError(
-                    f"Cartan product a_ij*a_ji must be in {{0,1,2,3}}, got {a[i][j] * a[j][i]}"
+                    "Cartan product a_ij*a_ji must be in {0,1,2,3}, "
+                    f"got {_shown(a[i][j] * a[j][i])}"
                 )
 
 
@@ -151,7 +154,7 @@ class CartanSpec(_Record):
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
-            raise ValueError(f"root index {i} out of range 1..{self.rank}")
+            raise ValueError(f"root index {_shown(i)} out of range 1..{self.rank}")
 
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.a(i, j) != 0

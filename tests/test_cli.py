@@ -373,11 +373,36 @@ def test_integer_lists_naming_no_integer_are_refused(capsys, argv):
     assert message.startswith("expected a comma-separated integer list")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("braid-check", "--example", "torus", "--cartan", "A3", "--strict", "--format", "yaml"),
+            "argument --format: invalid choice: 'yaml' (choose from 'text', 'json')",
+        ),
+        ((), "the following arguments are required: command"),
+        (("patterns", "--n", "3"), "the following arguments are required: --r"),
+    ],
+    ids=["choice", "no-command", "missing-option"],
+)
+def test_usage_errors_are_json_errors_with_exit_status_1(capsys, argv, message):
+    # Status 2 is left to a braid relation that fails under --strict.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["patterns", "--help"])
+    assert exited.value.code == 0 and "--complex" in capsys.readouterr().out
+
+
 def test_integer_list_errors_echo_a_bounded_prefix(capsys):
     code, out, err = run_cli(capsys, "count-open", "--divisors", "7" * 5000)
     assert code == 1 and out == ""
     message = json.loads(err)["error"]["message"]
-    assert message == f"expected a comma-separated integer list, got {'7' * 60 + '...'!r}"
+    assert message == f"expected a comma-separated integer list, got {_cut('7' * 5000)}"
     assert len(err) < 200
 
 
@@ -569,6 +594,11 @@ _LONG_LIST = list(range(100))
             f"span members must be distinct, got ({_cut(_LONG)}, {_cut(_LONG)}, 'c')",
         ),
         (
+            _ABC,
+            {"root": 1, "type": "P", "open": ["a"] * 100_000},
+            f"span members must be distinct, got ({', '.join([repr('a')] * 10)}) (10 of 100000)",
+        ),
+        (
             [*_ABC, {"id": _LONG}],
             (
                 {"root": 1, "type": "P", "open": [_LONG]},
@@ -589,7 +619,7 @@ _LONG_LIST = list(range(100))
     ],
     ids=["orbit-entry", "orbit-id", "orbit-flag", "orbit-dim", "span-entry", "span-keys",
          "span-type", "span-root", "span-names", "open-not-max-rank", "unknown-orbit",
-         "distinct-members", "two-spans", "lower-slot", "not-covered"],
+         "distinct-members", "many-members", "two-spans", "lower-slot", "not-covered"],
 )
 def test_table_refusals_echo_a_bounded_prefix(capsys, monkeypatch, orbits, span, message):
     table = _table_json(orbits, span)
@@ -1002,6 +1032,88 @@ def test_datum_reader_accepts_or_refuses_cleanly(obj):
     except ValueError:
         return
     assert rootdata.SphericalDatum.from_json(datum.to_json()) == datum
+
+
+# -- one property over every reader's refusals -----------------------------------
+
+# An oversized value: a short text repeated into a long string or name, or a number
+# of up to 4,300 digits, the most that ``int`` reads from text.
+_oversized = st.builds(
+    lambda unit, k: unit * k, st.text(min_size=1, max_size=3), st.integers(300, 5000)
+) | st.builds(
+    lambda digits, sign: sign * int("9" * digits), st.integers(300, 4300), st.sampled_from((1, -1))
+)
+
+
+def _with_table(part: str, key: str, value) -> dict:
+    """The table of three orbits and one N2 span, with ``value`` at ``key`` of its first
+    orbit, its span or its Cartan entry: a slot where every value is refused."""
+    table = _table_json([dict(o) for o in _ABC], dict(_N2_SPAN))
+    (table[part] if part == "cartan" else table[part][0])[key] = value
+    return table
+
+
+def _long_path(length: int) -> str:
+    """This file's path, stretched by "/." steps to about ``length`` characters (at most
+    about 3,000, under the OS path limit): it opens, and its text is not JSON."""
+    folder, name = os.path.split(os.path.abspath(__file__))
+    return folder + "/." * min(length // 2, 1500) + "/" + name
+
+
+# Each reader: (argv, stdin) from the oversized value.  The value lands where every
+# value is refused: a number in an integer list is negated, or a text is prefixed.
+_READERS = {
+    "table-orbit-id": lambda v: (
+        ("orbits", "--table", "-"), _table_json([*_ABC, {"id": v, "open": True}], _N2_SPAN)
+    ),
+    "table-orbit-flag": lambda v: (("orbits", "--table", "-"), _with_table("orbits", "open", v)),
+    "table-span-name": lambda v: (("orbits", "--table", "-"), _with_table("spans", "lower", [v])),
+    "table-span-type": lambda v: (("orbits", "--table", "-"), _with_table("spans", "type", v)),
+    "table-span-root": lambda v: (("orbits", "--table", "-"), _with_table("spans", "root", v)),
+    "table-cartan-type": lambda v: (("orbits", "--table", "-"), _with_table("cartan", "type", v)),
+    "table-cartan-rank": lambda v: (("orbits", "--table", "-"), _with_table("cartan", "rank", v)),
+    "table-path": lambda v: (("orbits", "--table", _long_path(len(str(v)))), None),
+    "matrix-entry": lambda v: (("snf", "--matrix", "-"), {"entries": [[1, str(v)]]}),
+    "matrix-rows": lambda v: (("divisors", "--matrix", "-"), {"rows": v, "entries": [[1]]}),
+    "cartan-label": lambda v: (("braid-check", "--example", "torus", f"--cartan={str(v)}"), None),
+    "cartan-number-label": lambda v: (
+        ("braid-check", "--example", "torus", f"--cartan=A{str(v).lstrip('-')}"), None
+    ),
+    "cartan-file-entry": lambda v: (
+        ("braid-check", "--example", "torus", "--cartan", "-"), {"cartan": [[v]]}
+    ),
+    "cartan-file-rank": lambda v: (
+        ("braid-check", "--example", "torus", "--cartan", "-"), {"type": "B", "rank": v}
+    ),
+    "example": lambda v: (("braid-check", f"--example={str(v)}"), None),
+    "divisors": lambda v: (
+        ("count-open", f"--divisors={-abs(v) if isinstance(v, int) else 'x' + v}"), None
+    ),
+    "generators": lambda v: (
+        ("orbits", "--example", "quadratic", "--n", "4", "--r", "3",
+         f"--generators={v if isinstance(v, int) else 'x' + v}"),
+        None,
+    ),
+    "patterns-n": lambda v: (("patterns", f"--n={str(v)}", "--r", "2"), None),
+    "sylvester-n": lambda v: (("sylvester", f"--n={str(v)}", "--r", "2"), None),
+    "example-n": lambda v: (("example", "unordered_pairs", f"--n={str(v)}"), None),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(sorted(_READERS)), value=_oversized)
+def test_every_reader_refuses_an_oversized_value_in_one_short_json_line(reader, value):
+    jsonschema = pytest.importorskip("jsonschema")
+    from pathlib import Path
+
+    schema = json.loads((Path(__file__).resolve().parent.parent / "docs" / "schemas" /
+                         "error.schema.json").read_text())
+    argv, stdin = _READERS[reader](value)
+    code, out, err = _run_on_stdin(list(argv), "" if stdin is None else json.dumps(stdin))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    jsonschema.Draft202012Validator(schema).validate(json.loads(err))
+    assert len(err.encode("utf-8", "backslashreplace")) < 1024
 
 
 # -- options a table source would ignore ---------------------------------------

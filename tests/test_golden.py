@@ -22,7 +22,9 @@ and the table JSON and DOT were streamed.  The largest quadratic runs
 (``orbits`` n = 9, r = 6 over eight generators and ``sylvester`` n = r = 9,
 both JSON) were recorded before the pattern build freed its scaffolding
 before validation, orbit domains became byte masks and the command JSON was
-written as it is made.  A deliberate output change
+written as it is made.  The two signed ``patterns`` runs were re-recorded
+when ``patterns`` began to list each shape in name order, the order of
+every table's orbits.  A deliberate output change
 updates the digest here and says why in the change log.
 """
 
@@ -47,8 +49,8 @@ from borelorbits import (
 from borelorbits.cli import main
 
 GOLDEN_CLI = {
-    "patterns --n 6 --r 4": "8ca03d2eecc31e0fada7f2d05c8a79477345deb30ce49b131ef379889e13be06",
-    "patterns --n 5 --r 3 --format json": "bf7ea35a4e2a234e3ab9aa22175feefc1e60f932601d5ed2c14ba04dc3dd215a",
+    "patterns --n 6 --r 4": "b1dd886d84075837c279dc3f6f827e7abaaa13f57110dff70c7d8564b8cc685e",
+    "patterns --n 5 --r 3 --format json": "ced3ab84e38dac6aa3e6c8f034ac189192c015b8f3d88e775a4087de50f6cb28",
     "patterns --n 6 --r 5 --complex": "8fc385f54c3878d8ad9a75511582c55e8df1139ccd7197efbd8e7ba1fe384eb6",
     "patterns --n 6 --r 6 --complex --format json": "650fc2618df87a715d34536398fced8712b53014e0864d6a680a30c6e463a029",
     "sylvester --n 6 --r 4": "984ceef9e6427f61d4dfc13e09c29a1ea1f34827069e7f131577308b782ca0f0",

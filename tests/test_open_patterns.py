@@ -147,20 +147,54 @@ def test_open_commands_refuse_a_bad_shape_as_the_table_build_does(n, r, capsys):
         assert (code, out, json.loads(err)) == (1, "", expected), " ".join(argv)
 
 
+def reads_open_patterns(argv) -> bool:
+    """Whether a command of :func:`example_argvs` reads :class:`OpenPatterns`, not
+    :class:`PatternMoves`: ``sylvester``, ``--open-only``, and ``orbits`` on the open domain."""
+    if argv[0] == "sylvester" or "--open-only" in argv:
+        return True
+    return argv[0] == "orbits" and ("open" in argv or not any("--generators" in a for a in argv))
+
+
 @pytest.mark.parametrize(
-    "module, limit, value, message",
+    "module, limit, value, messages",
     [
-        (rootdata, "MAX_RANK", 2, "Cartan rank 3 is over the rank limit 2"),
-        (orbits, "MAX_ORBITS", 20, "patterns n=4 r=4: 43 orbits is over the orbit limit 20"),
+        (rootdata, "MAX_RANK", 2, ["Cartan rank 3 is over the rank limit 2"] * 2),
+        (
+            orbits,
+            "MAX_ORBITS",
+            20,
+            [
+                "open patterns n=4 r=4: 48 cells is over the orbit limit 20",
+                "patterns n=4 r=4: 43 orbits is over the orbit limit 20",
+            ],
+        ),
     ],
     ids=["rank", "orbits"],
 )
-def test_open_commands_keep_the_full_tables_guards(module, limit, value, message, capsys, monkeypatch):
-    # n = r = 4 has 16 open patterns but 43 in its table: the guard counts the table.
+def test_open_commands_keep_the_full_tables_guards(
+    module, limit, value, messages, capsys, monkeypatch
+):
+    # The rank guard is the table's.  The orbit guard counts each route's own work: 16 open
+    # patterns at 3 roots are 48 cells, and all orbits are the table's 43 patterns.
     monkeypatch.setattr(module, limit, value)
     for argv in example_argvs(4, 4):
         code, out, err = run_cli(capsys, argv)
-        assert (code, out, json.loads(err)["error"]["message"]) == (1, "", message)
+        message = messages[0] if reads_open_patterns(argv) else messages[1]
+        assert (code, out, json.loads(err)["error"]["message"]) == (1, "", message), " ".join(argv)
+
+
+def test_open_commands_answer_past_the_tables_orbit_limit(capsys):
+    # n = r = 11 has 538,078 patterns but 2^11 open ones at 10 roots; n = r = 16 has 983,040 cells.
+    code, out, _ = run_cli(capsys, ("sylvester", "--n", "11", "--r", "11", "--format", "json"))
+    assert code == 0 and len(json.loads(out)["classes"]) == 12
+    example = ("--example", "quadratic", "--n", "11", "--r", "11")
+    assert run_cli(capsys, ("braid-check", *example, "--open-only", "--strict"))[0] == 0
+    for n, r in [(15, 15), (16, 15)]:
+        assert len(OpenPatterns(n, r).real_group_orbit_classes()) == r + 1
+    with pytest.raises(ValueError, match="^open patterns n=16 r=16: 983040 cells is over the"):
+        OpenPatterns(16, 16)
+    with pytest.raises(ValueError, match="^patterns n=11 r=11: 538078 orbits is over the"):
+        PatternMoves(11, 11)
 
 
 def _outcome(call):

@@ -271,6 +271,12 @@ def test_queries_refuse_long_names_with_a_bounded_echo(call, message):
     assert str(refused.value) == message and len(message.encode()) < 1024
 
 
+def test_an_unknown_orbit_is_a_key_error_with_a_bounded_echo():
+    with pytest.raises(KeyError) as refused:
+        _TABLE.orbit(_LONG)
+    assert refused.value.args == (f"unknown orbit {_CUT}",)
+
+
 def test_type_census_flags_t2_on_max_rank():
     table = sign_flip_table(A2)
     census = table.type_census()

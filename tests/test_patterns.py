@@ -65,23 +65,38 @@ def test_enumeration_examples():
 
 
 def test_enumeration_is_lexicographic():
-    pats = enumerate_patterns(4, 3)
-    assert pats == sorted(pats, key=SignedPattern.sort_key)
+    # Name order: the texts' own order, so "+" < "-" < "0" < "•" and "+0" comes before "0+".
+    texts = [p.to_text() for p in enumerate_patterns(4, 3)]
+    assert texts == sorted(texts)
+    assert [p.to_text() for p in enumerate_patterns(2, 1)] == ["+0", "-0", "0+", "0-"]
 
 
 @pytest.mark.parametrize("n, r", [(1, 0), (4, 3), (6, 6), (10, 4), (11, 4)])
 @pytest.mark.parametrize("signed", [True, False])
 def test_pattern_texts_are_the_enumeration_in_its_order(n, r, signed):
-    # From n = 10 on, arcs such as [1,10] sort as numbers, not as text.
-    pats = sorted(enumerate_patterns(n, r, signed=signed), key=SignedPattern.sort_key)
-    assert patterns_module.pattern_texts(n, r, signed=signed) == [p.to_text() for p in pats]
+    # From n = 10 on, arcs such as [1,10] sort as text, before [1,2], as in every table.
+    texts = patterns_module.pattern_texts(n, r, signed=signed)
+    assert [p.to_text() for p in enumerate_patterns(n, r, signed=signed)] == texts
+    assert texts == sorted(set(texts)) and len(texts) == pattern_count(n, r, signed)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pattern_texts_are_every_tables_orbit_names(n):
+    texts = patterns_module.pattern_texts
+    for r in range(n + 1):
+        assert texts(n, r, True) == list(build_table(n, r).orbit_names)
+        assert texts(n, r, False) == list(build_complex_table(n, r).orbit_names)
+    for shape in [(10, 4), (11, 4)]:
+        for signed in (True, False):
+            names = patterns_module._records(*shape, signed)[0]
+            assert patterns_module.pattern_texts(*shape, signed) == list(names)
 
 
 @pytest.mark.parametrize(
     "signed, bad, message",
     [
-        (True, ("•+", ()), "bare dot at 1 in a signed pattern"),
-        (False, ("+• [1,2]", ((1, 2),)), "arc endpoint 1 must be a dot entry"),
+        (True, "•+", "bare dot at 1 in a signed pattern"),
+        (False, "+• [1,2]", "arc endpoint 1 must be a dot entry"),
     ],
     ids=["bare-dot", "arc-on-a-sign"],
 )
@@ -101,7 +116,7 @@ def test_enumeration_is_checked_by_the_model(monkeypatch, signed, bad, message):
 
     monkeypatch.setattr(patterns_module, "SignedPattern", no_objects)
     texts = patterns_module.pattern_texts(2, 2, signed=signed)
-    assert bad[0] in texts and len(texts) == pattern_count(2, 2, signed) + 1
+    assert bad in texts and len(texts) == pattern_count(2, 2, signed) + 1
 
 
 def test_enumeration_rejects_bad_shapes():
@@ -223,6 +238,21 @@ def test_text_round_trip():
     for text in ("•• []", "•• [1]", "•• [a,b]", "•• [1,2,3]", "•• [1,2]["):
         with pytest.raises(ValueError, match="malformed arc list"):
             SignedPattern.from_text(text)
+
+
+def test_pattern_text_refusals_echo_a_bounded_prefix():
+    long = "x" * 100_000
+    cut = repr(long)[:60] + "..."
+    for text, message in [
+        (f"•• {long}", f"malformed arc list {cut}"),
+        (f"•• [{long}]", f"malformed arc list {repr('[' + long)[:60]}..."),
+        (f"•• [1,{'9' * 4000}]", f"arc endpoint {'9' * 60}... out of range 1..2"),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            SignedPattern.from_text(text)
+        assert str(refused.value) == message
+    with pytest.raises(ValueError, match=f"^invalid pattern entry {cut}$"):
+        SignedPattern((long,))
 
 
 def corner_rank_matrix(p):
